@@ -35,7 +35,7 @@ def main() -> None:
 
     table = txlaw.tabulate_density(spec, args.z)
     xs = np.linspace(table.bands[0][0], table.bands[-1][1], 400)
-    cdf = np.array([table.cdf2(float(x)) for x in xs])
+    cdf = table.cdf2(xs)
     devs = []
     for r in runs:
         lam = np.sort(r.singular[complex(args.z)])
@@ -43,7 +43,7 @@ def main() -> None:
         devs.append(np.max(np.abs(emp - cdf)))
     print(f"singular CDF sup-dev median: {np.median(devs):.4f}")
 
-    profile = txlaw.compute_radial_profile(spec, 0.1, 2.0, h=0.005, resolution=512)
+    profile = txlaw.compute_radial_profile(spec, 0.1, 2.0, h=0.005)
     radial = txlaw.radial_esd_cdf(cfg, profile, runs=runs)
     print(f"radial CDF sup-dev median:   {np.median(radial['sup_dev']):.4f}")
 

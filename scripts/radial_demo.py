@@ -31,9 +31,7 @@ def main() -> None:
                                         N=1000, M=1000),
     }
     for name, spec in models.items():
-        profile = txlaw.compute_radial_profile(
-            spec, args.rmin, args.rmax, h=args.step, resolution=640
-        )
+        profile = txlaw.compute_radial_profile(spec, args.rmin, args.rmax, h=args.step)
         txlaw.write_radial_csv(profile, outdir / f"radial_{name}.csv")
         ok = np.isfinite(profile.chi)
         print(f"{name}: chi in [{profile.chi[ok].min():+.4f}, "

@@ -208,13 +208,19 @@ def cmd_simulate(args) -> int:
             for zz, lam in r.singular.items():
                 for v in lam:
                     fh.write(f"{r.run_index},{zz.real:.17g},{zz.imag:.17g},{v:.17g}\n")
+    done = [r for r in runs if not r.failed]
+    failed = [r.run_index for r in runs if r.failed]
     summary = {
-        "runs": len(runs),
-        "trivial_zero_counts": [count_trivial_zeros(r) for r in runs],
-        "elapsed": [r.elapsed for r in runs],
+        "runs": len(done),
+        "failed_runs": failed,
+        "trivial_zero_counts": [count_trivial_zeros(r) for r in done],
+        "elapsed": [r.elapsed for r in done],
     }
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2))
     _manifest(args, outdir, t0)
+    if failed:
+        print(f"error: Monte Carlo runs {failed} failed; see summary.json", file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

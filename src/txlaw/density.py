@@ -7,6 +7,10 @@ u = sqrt(hi) sin(theta/2), which also tames the x^(-1/2) divergence there.
 Gauss-Legendre nodes per theta segment then integrate smooth functions
 spectrally; the per-segment Legendre series doubles as an analytic
 antiderivative, giving a CDF accurate far below the quantile tolerance.
+
+The radial eigenvalue law of T X needs no table: T X is R-diagonal, and the
+Haagerup-Larsen S-transform theorem gives it in closed form from the Sigma
+spectrum alone.
 """
 
 from __future__ import annotations
@@ -16,30 +20,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.optimize import brentq
 
 from .errors import DomainError, SolverError, TableTooCoarseError
 from .master import SolverOptions, density_batch
 from .sigma import SigmaSpectrum
-from .support import (
-    FindEdgesOptions,
-    SupportProfile,
-    ZeroEdgeInfo,
-    _refine_edge_newton,
-    find_edges,
-    zero_edge_scale,
-    EdgeInfo,
-)
+from .support import SupportProfile, find_edges
 
 GL_ORDER = 64
 _GL_XI, _GL_W = npleg.leggauss(GL_ORDER)
 _LEG_VANDER = npleg.legvander(_GL_XI, GL_ORDER - 1)
 _LEG_PROJ = ((2 * np.arange(GL_ORDER) + 1) / 2.0)[None, :] * (_LEG_VANDER * _GL_W[:, None])
+_LEG_INT = npleg.legint(np.eye(GL_ORDER), lbnd=-1)   # series -> antiderivative, 0 at -1
 
 ZERO_EDGE_LEVELS = 8          # geometric theta grading levels toward a zero edge
 MASS_TOL = 1e-3               # missed-band alarm on |mass - 1|
 SPLIT_TOL = 1e-10             # per-segment spectral tail triggering a split
 SPLIT_MAX_DEPTH = 8
+NEWTON_MAX = 100              # cap on the vectorized Newton loops below
 
 
 
@@ -67,15 +64,87 @@ class _Segment:
     jac: np.ndarray            # dx/dtheta at the nodes
     rho1: np.ndarray
     rho2: np.ndarray
-    leg1: np.ndarray           # Legendre coefficients of rho1 * dx/dtheta
-    leg2: np.ndarray
+    leg2: np.ndarray           # Legendre coefficients of rho2 * dx/dtheta
     base2: float               # cumulative rho2 mass before this segment
 
-    def cdf2_at_theta(self, t: float) -> float:
-        xi = 2 * (t - self.t0) / (self.t1 - self.t0) - 1.0
-        ic = npleg.legint(self.leg2)
-        scale = (self.t1 - self.t0) / 2.0
-        return self.base2 + scale * (npleg.legval(xi, ic) - npleg.legval(-1.0, ic))
+
+@dataclass(frozen=True)
+class _PiecewiseCdf:
+    """The rho2 CDF of a table as arrays over its theta segments, in ascending order.
+
+    On segment k, with xi = 2 (theta - t0) / (t1 - t0) - 1 in [-1, 1], the CDF
+    is base[k] + (t1 - t0) / 2 * sum_i cum[i, k] P_i(xi): the exact
+    antiderivative of the segment's Legendre series leg[:, k] of rho2 dx/dtheta,
+    which is therefore its theta derivative.
+    """
+
+    t0: np.ndarray
+    t1: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    base: np.ndarray
+    top: np.ndarray            # CDF at each segment's end
+    leg: np.ndarray            # (GL_ORDER, segments)
+    cum: np.ndarray            # (GL_ORDER + 1, segments)
+
+    @classmethod
+    def build(cls, segments: list[_Segment]) -> _PiecewiseCdf:
+        def col(name):
+            return np.array([getattr(s, name) for s in segments], dtype=float)
+
+        t0, t1, mid, half, base = (col(n) for n in ("t0", "t1", "mid", "half", "base2"))
+        leg = np.column_stack([s.leg2 for s in segments])
+        cum = _LEG_INT @ leg
+        return cls(
+            t0=t0, t1=t1, mid=mid, half=half,
+            x_lo=_x_of_theta(mid - half, mid + half, t0),
+            x_hi=_x_of_theta(mid - half, mid + half, t1),
+            base=base, top=base + 0.5 * (t1 - t0) * npleg.legval(1.0, cum),
+            leg=leg, cum=cum,
+        )
+
+    def _xi(self, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        return 2 * (theta - self.t0[k]) / (self.t1[k] - self.t0[k]) - 1.0
+
+    def at_theta(self, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """CDF at theta on segments k."""
+        scale = (self.t1[k] - self.t0[k]) / 2.0
+        return self.base[k] + scale * npleg.legval(self._xi(k, theta), self.cum[:, k],
+                                                   tensor=False)
+
+    def x_at(self, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        return _x_of_theta(self.mid[k] - self.half[k], self.mid[k] + self.half[k], theta)
+
+    def solve_theta(self, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """theta on segments k with CDF equal to target, base[k] <= target <= top[k].
+
+        Newton on the segment polynomial, whose derivative is the series of
+        rho2 dx/dtheta, safeguarded by bisection on the bracket [t0, t1]. A
+        point stops when its step falls below the brentq tolerance
+        1e-15 + 8.9e-16 |theta|, or its residual reaches rounding level.
+        """
+        a, b = self.t0[k].copy(), self.t1[k].copy()
+        frac = (target - self.base[k]) / np.maximum(self.top[k] - self.base[k], 1e-300)
+        theta = a + (b - a) * np.clip(frac, 0.0, 1.0)
+        live = np.arange(k.size)
+        for _ in range(NEWTON_MAX):
+            kk, th = k[live], theta[live]
+            res = self.at_theta(kk, th) - target[live]
+            deriv = npleg.legval(self._xi(kk, th), self.leg[:, kk], tensor=False)
+            a[live] = np.where(res < 0, th, a[live])
+            b[live] = np.where(res > 0, th, b[live])
+            lo, hi = a[live], b[live]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = th - res / deriv
+            new = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+            new = np.where(np.abs(res) <= 4 * np.finfo(float).eps, th, new)
+            theta[live] = new
+            live = live[np.abs(new - th) > 1e-15 + 8.9e-16 * np.abs(new)]
+            if live.size == 0:
+                return theta
+        raise SolverError(f"quantile inversion did not converge at {live.size} targets")
 
 
 def _legendre_coeffs(vals: np.ndarray) -> np.ndarray:
@@ -112,6 +181,7 @@ class DensityTable:
     mass1: float
     segments: tuple[_Segment, ...] = field(repr=False)
     profile: SupportProfile = field(repr=False)
+    cdf: _PiecewiseCdf = field(repr=False)
 
     def integrate_rho2(self, fn) -> complex:
         return np.sum(fn(self.x) * self.rho2 * self.weight)
@@ -139,59 +209,46 @@ class DensityTable:
                 out[mask] = np.interp(x[mask], xs, rs)
         return out
 
-    def cdf2(self, x: float) -> float:
-        """Mass of rho2 on (0, x]."""
-        x = float(x)
-        total = 0.0
-        for seg in self.segments:
-            band_lo = seg.mid - seg.half
-            band_hi = seg.mid + seg.half
-            lo = float(_x_of_theta(band_lo, band_hi, np.array([seg.t0]))[0])
-            hi = float(_x_of_theta(band_lo, band_hi, np.array([seg.t1]))[0])
-            if x >= hi:
-                continue
-            if x <= lo:
-                return seg.base2 if seg.t0 == 0.0 else min(seg.base2, self.total_mass)
-            arg = np.clip((x - seg.mid) / seg.half, -1.0, 1.0)
-            t = float(np.arccos(-arg))
-            return seg.cdf2_at_theta(min(max(t, seg.t0), seg.t1))
-        total = self.total_mass
-        return total
+    def cdf2(self, x):
+        """Mass of rho2 on (0, x], elementwise over an array of x."""
+        c = self.cdf
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.full(xs.shape, self.total_mass)
+        # the segment holding x: the first whose upper end lies above it
+        k = np.searchsorted(c.x_hi, xs, side="right")
+        inside = k < c.t0.size
+        k, xk = k[inside], xs[inside]
+        below = xk <= c.x_lo[k]
+        theta = np.arccos(-np.clip((xk - c.mid[k]) / c.half[k], -1.0, 1.0))
+        theta = np.minimum(np.maximum(theta, c.t0[k]), c.t1[k])
+        start = np.where(c.t0[k] == 0.0, c.base[k], np.minimum(c.base[k], self.total_mass))
+        out[inside] = np.where(below, start, c.at_theta(k, theta))
+        return float(out[0]) if np.ndim(x) == 0 else out
 
-    def quantile2(self, target: float, tol: float = 1e-6) -> float:
-        """x with mass of rho2 on (0, x] equal to target."""
-        if target < 0:
+    def quantile2(self, target, tol: float = 1e-6):
+        """x with mass of rho2 on (0, x] equal to target, elementwise over an array."""
+        m = np.atleast_1d(np.asarray(target, dtype=float))
+        if np.any(m < 0):
             raise DomainError("quantile target must be >= 0")
-        if target > self.total_mass + tol:
+        if np.any(m > self.total_mass + tol):
             raise DomainError(
-                f"target mass {target} exceeds table mass {self.total_mass}"
+                f"target mass {np.max(m)} exceeds table mass {self.total_mass}"
             )
-        if target >= self.total_mass - 1e-7:
-            # inside quadrature noise of the full mass: the top edge is exact
-            return float(self.bands[-1][1])
-        if target <= 0.0:
-            return float(self.bands[0][0])
-        for seg in self.segments:
-            lo_m = seg.base2
-            hi_m = seg.cdf2_at_theta(seg.t1)
-            if target > hi_m:
-                continue
-            if target < lo_m:
-                # lands in a gap between bands: return the gap's left band top
-                return float(
-                    _x_of_theta(seg.mid - seg.half, seg.mid + seg.half, np.array([seg.t0]))[0]
-                )
-            t = brentq(
-                lambda tt: seg.cdf2_at_theta(tt) - target,
-                seg.t0,
-                seg.t1,
-                xtol=1e-15,
-                rtol=8.9e-16,
-            )
-            return float(
-                _x_of_theta(seg.mid - seg.half, seg.mid + seg.half, np.array([t]))[0]
-            )
-        return float(self.bands[-1][1])
+        c = self.cdf
+        # inside quadrature noise of the full mass the top edge is exact; a
+        # target above every segment's top mass also maps to the top edge
+        out = np.full(m.shape, float(self.bands[-1][1]))
+        out[m <= 0.0] = self.bands[0][0]
+        k = np.searchsorted(c.top, m, side="left")
+        pick = np.nonzero((m > 0.0) & (m < self.total_mass - 1e-7) & (k < c.t0.size))[0]
+        k = k[pick]
+        # a target below its segment's base sits in the rounding-level gap
+        # after the previous segment's top: it maps to the segment's start
+        gap = m[pick] < c.base[k]
+        theta = c.t0[k].copy()
+        theta[~gap] = c.solve_theta(k[~gap], m[pick][~gap])
+        out[pick] = c.x_at(k, theta)
+        return float(out[0]) if np.ndim(target) == 0 else out
 
 
 def tabulate_density(
@@ -248,12 +305,10 @@ def tabulate_density(
             depth += 1
         for (t0, t1, th, x, r1, r2) in sorted(done, key=lambda s: s[0]):
             jac = half * np.sin(th)
-            leg1 = _legendre_coeffs(r1 * jac)
-            leg2 = _legendre_coeffs(r2 * jac)
             seg = _Segment(
                 band=bi, t0=t0, t1=t1, mid=mid, half=half,
                 theta=th, x=x, jac=jac, rho1=r1, rho2=r2,
-                leg1=leg1, leg2=leg2, base2=base2,
+                leg2=_legendre_coeffs(r2 * jac), base2=base2,
             )
             scale = (t1 - t0) / 2.0
             base2 += scale * float(np.dot(_GL_W, r2 * jac))
@@ -271,7 +326,7 @@ def tabulate_density(
     table = DensityTable(
         z_mod=z_mod, bands=tuple(bands), x=x, rho1=rho1, rho2=rho2,
         weight=weight, total_mass=total, mass1=mass1,
-        segments=tuple(segments), profile=profile,
+        segments=tuple(segments), profile=profile, cdf=_PiecewiseCdf.build(segments),
     )
     if abs(total - 1.0) > MASS_TOL:
         raise TableTooCoarseError(
@@ -295,10 +350,7 @@ def quantiles(table: DensityTable, N: int) -> QuantileTable:
     """Classical locations gamma_j with mass(0, gamma_j] = j/N, j = 1..N."""
     if abs(table.total_mass - 1.0) > MASS_TOL:
         raise DomainError("table mass too far from 1 for quantiles")
-    g = np.empty(N)
-    for j in range(1, N + 1):
-        g[j - 1] = table.quantile2(j / N)
-    return QuantileTable(N=N, gamma=g)
+    return QuantileTable(N=N, gamma=table.quantile2(np.arange(1, N + 1) / N))
 
 
 def log_potential(
@@ -334,9 +386,9 @@ def log_potential(
 class RadialProfile:
     """Radial log-potential, eigenvalue density and radial CDF of the product.
 
-    chi(r) = (U''(r) + U'(r)/r) / 4 and F(r) = r U'(r) / 2 on a uniform grid
-    split around the excluded band at r = 1. Missing stencil points next to
-    the hole are NaN, never interpolated.
+    U, dU = U'(r), chi(r) = (U''(r) + U'(r)/r) / 4 and F(r) = r U'(r) / 2 on
+    a uniform grid split around the excluded band at r = 1. The hole has no
+    rows and is never interpolated.
     """
 
     r: np.ndarray
@@ -344,7 +396,6 @@ class RadialProfile:
     dU: np.ndarray
     chi: np.ndarray
     F: np.ndarray
-    kink: np.ndarray
     h: float
     z_band_min: float
     segments: tuple[tuple[int, int], ...]      # [start, stop) into the arrays
@@ -398,83 +449,35 @@ class RadialProfile:
         return worst
 
 
-class _EdgeTracker:
-    """Warm-started support tracking along a radius sweep."""
+def _radial_law(spec: SigmaSpectrum, r: np.ndarray):
+    """(U, U', chi, F) of the Haagerup-Larsen radial law of T X at radii r > 0.
 
-    def __init__(self, spec: SigmaSpectrum, opts: SolverOptions, scan: FindEdgesOptions,
-                 rescan_every: int = 25):
-        self.spec = spec
-        self.opts = opts
-        self.scan = scan
-        self.rescan_every = rescan_every
-        self._profile: SupportProfile | None = None
-        self._since_scan = 0
-
-    def profile_at(self, z_mod: float) -> SupportProfile:
-        if self._profile is None or self._since_scan >= self.rescan_every:
-            self._profile = find_edges(self.spec, z_mod, self.opts, self.scan)
-            self._since_scan = 0
-            return self._profile
-        prev = self._profile
-        new_edges = []
-        ok = True
-        for ed in prev.edges:
-            got = _refine_edge_newton(ed.e, ed.m_c, self.spec, z_mod)
-            if got is None or got[2] > 1e-8 or got[3] > 1e-6:
-                ok = False
-                break
-            e_new, m_new, fabs, dfabs, d2f = got
-            new_edges.append((ed, e_new, m_new, fabs, dfabs, d2f))
-        if ok:
-            positions = sorted(e for _, e, _, _, _, _ in new_edges)
-            if any(b - a < 1e-10 for a, b in zip(positions, positions[1:])):
-                ok = False
-        if not ok:
-            self._profile = find_edges(self.spec, z_mod, self.opts, self.scan)
-            self._since_scan = 0
-            return self._profile
-        edges = []
-        all_pos = [e for _, e, _, _, _, _ in new_edges]
-        touches_zero = prev.zero_edge is not None
-        for ed, e_new, m_new, fabs, dfabs, d2f in new_edges:
-            others = [y for y in all_pos if abs(y - e_new) > 1e-12] + (
-                [0.0] if touches_zero else []
-            )
-            gap = min((abs(e_new - y) for y in others), default=np.inf)
-            edges.append(
-                EdgeInfo(
-                    e=e_new, m_c=m_new, d2f=d2f, pole_distance=ed.pole_distance,
-                    neighbor_gap=float(gap), side=ed.side, refined=True,
-                )
-            )
-        edges.sort(key=lambda e: -e.e)
-        band_edges = ([0.0] if touches_zero else []) + sorted(all_pos)
-        bands = tuple(
-            sorted(
-                (
-                    (band_edges[i], band_edges[i + 1])
-                    for i in range(0, len(band_edges), 2)
-                ),
-                reverse=True,
-            )
-        )
-        zero_edge = None
-        if touches_zero:
-            t = zero_edge_scale(self.spec, z_mod, self.scan.tau)
-            zero_edge = ZeroEdgeInfo(
-                t=t,
-                rho1_amplitude=float(np.sqrt(t) / np.pi),
-                rho2_amplitude=float(np.sqrt(t) / (np.pi * (t + z_mod * z_mod))),
-            )
-        self._profile = SupportProfile(
-            z_mod=z_mod, bands=bands, edges=tuple(edges), zero_edge=zero_edge,
-            scan_points=prev.scan_points, scan_max=prev.scan_max,
-        )
-        self._since_scan += 1
-        return self._profile
-
-    def invalidate(self):
-        self._profile = None
+    For r < 1, t in (0, 1) solves g(t) = sum_i w_i s_i / (r^2 + s_i t) - 1 = 0.
+    For a normalized spectrum g(0) = 1/r^2 - 1 > 0 and g is convex and
+    decreasing, so Newton from t = 0 rises monotonically to the root. With
+    d_i = r^2 + s_i t: F = 1 - t, chi = F'(r) / (2 r) = sum w s / d^2 /
+    sum w s^2 / d^2, and U = sum w log d - t, which vanishes at r = 1 and has
+    U' = 2 F / r. For r >= 1: F = 1, chi = 0 and U = 2 log r.
+    """
+    spec.require_normalized()
+    s, w = np.asarray(spec.s, dtype=float), spec.weights
+    F, chi, U = np.ones_like(r), np.zeros_like(r), 2.0 * np.log(r)
+    inside = r < 1.0
+    r2 = r[inside, None] ** 2
+    t = np.zeros(r2.shape)
+    for _ in range(NEWTON_MAX):
+        d = r2 + s * t
+        step = ((s / d) @ w - 1.0) / ((s * s / d**2) @ w)
+        t = t + step[:, None]
+        if np.all(np.abs(step) <= 1e-14):
+            break
+    else:
+        raise SolverError("radial law: Newton on t did not converge")
+    d = r2 + s * t
+    F[inside] = 1.0 - t[:, 0]
+    chi[inside] = ((s / d**2) @ w) / ((s * s / d**2) @ w)
+    U[inside] = np.log(d) @ w - t[:, 0]
+    return U, 2.0 * F / r, chi, F
 
 
 def compute_radial_profile(
@@ -483,16 +486,14 @@ def compute_radial_profile(
     r_hi: float,
     h: float = 0.005,
     opts: SolverOptions | None = None,
-    resolution: int = 768,
-    scan: FindEdgesOptions | None = None,
 ) -> RadialProfile:
     """Radial profile of U, chi and F on [r_lo, r_hi] with grid step h <= 0.01.
 
-    Grid points inside the excluded band |r^2 - 1| < z_band_min are dropped;
-    each remaining side is extended by two stencil margins where allowed.
+    Grid points inside the excluded band |r^2 - 1| < z_band_min are dropped,
+    which splits the grid into segments. The values come from the closed-form
+    radial law, so the spectrum must be normalized (DomainError otherwise).
     """
     opts = opts or SolverOptions()
-    scan = scan or FindEdgesOptions()
     if h > 0.01:
         raise DomainError("radial grid step must be <= 0.01")
     if r_lo <= 0 or r_hi <= r_lo:
@@ -504,95 +505,24 @@ def compute_radial_profile(
     def allowed(r):
         return np.abs(r * r - 1.0) >= zb
 
-    keep = allowed(req)
-    # split requested points into contiguous segments
-    seg_bounds: list[tuple[int, int]] = []
-    i = 0
-    while i <= n_req:
-        if not keep[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 <= n_req and keep[j + 1]:
-            j += 1
-        seg_bounds.append((i, j))
-        i = j + 1
-    if not seg_bounds:
+    runs = np.flatnonzero(np.diff(np.r_[0, allowed(req), 0])).reshape(-1, 2)
+    if runs.size == 0:
         raise DomainError("entire grid lies inside the excluded band")
-
-    out_r: list[np.ndarray] = []
-    out_U: list[np.ndarray] = []
-    out_dU: list[np.ndarray] = []
-    out_chi: list[np.ndarray] = []
-    out_F: list[np.ndarray] = []
-    out_kink: list[np.ndarray] = []
-    out_slices: list[tuple[int, int]] = []
-    cursor = 0
-
-    for (i0, i1) in seg_bounds:
-        # extend by 2 margins per side where allowed
-        ext_lo = 0
-        while ext_lo < 2:
-            cand = req[i0] - (ext_lo + 1) * h
-            if cand <= 0 or not allowed(np.array([cand]))[0]:
-                break
-            ext_lo += 1
-        ext_hi = 0
-        while ext_hi < 2:
-            cand = req[i1] + (ext_hi + 1) * h
-            if not allowed(np.array([cand]))[0]:
-                break
-            ext_hi += 1
-        rg = req[i0] - ext_lo * h + h * np.arange(i1 - i0 + 1 + ext_lo + ext_hi)
-        tracker = _EdgeTracker(spec, opts, scan)
-        U = np.empty(rg.size)
-        for k, r in enumerate(rg):
-            profile = tracker.profile_at(float(r))
-            try:
-                table = tabulate_density(
-                    spec, float(r), resolution=resolution, profile=profile, opts=opts
-                )
-            except TableTooCoarseError:
-                tracker.invalidate()
-                profile = tracker.profile_at(float(r))
-                table = tabulate_density(
-                    spec, float(r), resolution=resolution, profile=profile, opts=opts
-                )
-            U[k], _ = log_potential(spec, float(r), table=table, opts=opts)
-        dU = np.full(rg.size, np.nan)
-        d2U = np.full(rg.size, np.nan)
-        if rg.size >= 5:
-            dU[2:-2] = (-U[4:] + 8 * U[3:-1] - 8 * U[1:-3] + U[:-4]) / (12 * h)
-            d2U[2:-2] = (
-                -U[4:] + 16 * U[3:-1] - 30 * U[2:-2] + 16 * U[1:-3] - U[:-4]
-            ) / (12 * h * h)
-        chi = 0.25 * (d2U + dU / rg)
-        F = 0.5 * rg * dU
-        d2_3pt = np.full(rg.size, np.nan)
-        if rg.size >= 3:
-            d2_3pt[1:-1] = (U[2:] - 2 * U[1:-1] + U[:-2]) / (h * h)
-        kink = np.abs(d2U - d2_3pt) > 0.05 * np.maximum(1.0, np.abs(d2U))
-        sl = slice(ext_lo, rg.size - ext_hi)
-        out_r.append(rg[sl])
-        out_U.append(U[sl])
-        out_dU.append(dU[sl])
-        out_chi.append(chi[sl])
-        out_F.append(F[sl])
-        out_kink.append(kink[sl])
-        n_here = rg[sl].size
-        out_slices.append((cursor, cursor + n_here))
-        cursor += n_here
-
+    grids = []
+    for i0, i1 in runs:
+        # each segment's grid is laid from up to two steps below its first
+        # radius, staying in r > 0 and outside the band; this fixes how every
+        # r rounds, so the r column of radial.csv keeps its exact values
+        lead = 0
+        while lead < 2 and req[i0] - (lead + 1) * h > 0 and allowed(req[i0] - (lead + 1) * h):
+            lead += 1
+        grids.append(req[i0] - lead * h + h * np.arange(lead, lead + i1 - i0))
+    r = np.concatenate(grids)
+    stops = np.cumsum([g.size for g in grids])
+    U, dU, chi, F = _radial_law(spec, r)
     return RadialProfile(
-        r=np.concatenate(out_r),
-        U=np.concatenate(out_U),
-        dU=np.concatenate(out_dU),
-        chi=np.concatenate(out_chi),
-        F=np.concatenate(out_F),
-        kink=np.concatenate(out_kink),
-        h=h,
-        z_band_min=zb,
-        segments=tuple(out_slices),
+        r=r, U=U, dU=dU, chi=chi, F=F, h=h, z_band_min=zb,
+        segments=tuple((int(b - g.size), int(b)) for g, b in zip(grids, stops)),
     )
 
 

@@ -165,14 +165,6 @@ def master_f_all(w, m, spec: SigmaSpectrum, z_mod: float):
     return f, fm, fmm, fu, fum
 
 
-def master_f_dm(w, m, spec: SigmaSpectrum, z_mod: float):
-    return master_f_all(w, m, spec, z_mod)[1]
-
-
-def master_f_dsqrtw(w, m, spec: SigmaSpectrum, z_mod: float):
-    return master_f_all(w, m, spec, z_mod)[3]
-
-
 def m2_from_m1(m1, w, z_mod: float):
     """Second transform from the first: m2 = (1+m1) / (-w (1+m1)^2 + |z|^2)."""
     m1 = np.asarray(m1, dtype=complex)

@@ -106,15 +106,6 @@ def build_t(cfg: EnsembleConfig, rng: np.random.Generator) -> np.ndarray:
     return T
 
 
-def _reduced_factor(T: np.ndarray, N: int, M: int) -> np.ndarray:
-    """K x N deterministic factor of the reduced square problem when N > M.
-
-    The nontrivial spectrum of T X - z equals that of (T^T restricted) X^T - z;
-    the reduction keeps the same Sigma spectrum and entry variance.
-    """
-    return T.T
-
-
 def sample_run(cfg: EnsembleConfig, run_index: int) -> RunResult:
     """One ensemble draw: eigenvalues of T X and singular spectra of T X - z.
 
@@ -133,7 +124,9 @@ def sample_run(cfg: EnsembleConfig, run_index: int) -> RunResult:
             if cfg.N <= cfg.M:
                 Y = P - z * np.eye(cfg.N)
             else:
-                Y = _reduced_factor(T, cfg.N, cfg.M) @ X.T - z * np.eye(cfg.M)
+                # the nontrivial spectrum of T X - z is that of the M x M
+                # T^T X^T - z, with the same Sigma spectrum and entry variance
+                Y = T.T @ X.T - z * np.eye(cfg.M)
             Q = Y.conj().T @ Y
             lam, _ = symmetric_eigen(0.5 * (Q + Q.conj().T))
             singular[z] = np.maximum(lam, 0.0)   # clip eigensolver noise at 0
@@ -180,6 +173,14 @@ def successful(runs: list[RunResult], min_fraction: float = 0.95) -> list[RunRes
     return good
 
 
+def _singular_key(runs: list[RunResult], z_mod: float) -> complex:
+    """The z of the runs' singular spectra with |z| = z_mod."""
+    for z in runs[0].singular:
+        if abs(abs(z) - z_mod) < 1e-12:
+            return z
+    raise DomainError(f"no singular spectra at |z| = {z_mod}")
+
+
 def empirical_m2(lam: np.ndarray, w: complex) -> complex:
     """Stieltjes transform of the empirical singular-spectrum measure."""
     return complex(np.mean(1.0 / (lam - w)))
@@ -203,13 +204,7 @@ def averaged_law_profile(
             cfg = replace(cfg, z_list=tuple(cfg.z_list) + (complex(z_mod),))
         runs = run_ensemble(cfg)
     runs = successful(runs)
-    key = None
-    for z in runs[0].singular:
-        if abs(abs(z) - z_mod) < 1e-12:
-            key = z
-            break
-    if key is None:
-        raise DomainError(f"no singular spectra at |z| = {z_mod}")
+    key = _singular_key(runs, z_mod)
     K = cfg.K
     out = []
     for eta in np.atleast_1d(eta_grid):
@@ -334,13 +329,7 @@ def rigidity_profile(
     if runs is None:
         runs = run_ensemble(cfg)
     runs = successful(runs)
-    key = None
-    for z in runs[0].singular:
-        if abs(abs(z) - z_mod) < 1e-12:
-            key = z
-            break
-    if key is None:
-        raise DomainError(f"no singular spectra at |z| = {z_mod}")
+    key = _singular_key(runs, z_mod)
     K = cfg.K
     if qt.N != K:
         raise DomainError("quantile table N must equal K")
@@ -390,13 +379,7 @@ def extreme_singular_stats(
     if runs is None:
         runs = run_ensemble(cfg)
     runs = successful(runs)
-    key = None
-    for z in runs[0].singular:
-        if abs(abs(z) - z_mod) < 1e-12:
-            key = z
-            break
-    if key is None:
-        raise DomainError(f"no singular spectra at |z| = {z_mod}")
+    key = _singular_key(runs, z_mod)
     t_norm = float(np.sqrt(cfg.spec.s[0]))
     lam_min = np.array([r.singular[key][0] for r in runs])
     lam_max = np.array([r.singular[key][-1] for r in runs])

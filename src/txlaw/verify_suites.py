@@ -108,7 +108,7 @@ def check_stieltjes(opts: SolverOptions) -> dict:
 
 def check_circular(opts: SolverOptions, args=None) -> dict:
     spec = _identity_spec()
-    prof = compute_radial_profile(spec, 0.1, 2.0, h=0.005, opts=opts, resolution=640)
+    prof = compute_radial_profile(spec, 0.1, 2.0, h=0.005, opts=opts)
     inside = (prof.r >= 0.1) & (prof.r <= 0.85)
     outside = (prof.r >= 1.15) & (prof.r <= 2.0)
     chi_in = prof.chi[inside]
@@ -140,7 +140,7 @@ def check_esd(opts: SolverOptions, args) -> dict:
     runs = run_ensemble(cfg)
     table = tabulate_density(spec, z, resolution=1500, opts=opts)
     xs = np.linspace(table.bands[0][0], table.bands[-1][1], 600)
-    cdf = np.array([table.cdf2(x) for x in xs])
+    cdf = table.cdf2(xs)
     devs = []
     for r in runs:
         lam = np.sort(r.singular[complex(z)])

@@ -30,14 +30,12 @@ def opts():
 
 @pytest.fixture(scope="session")
 def identity_radial_profile(identity_spec):
-    return txlaw.compute_radial_profile(
-        identity_spec, 0.1, 2.0, h=0.005, resolution=640
-    )
+    return txlaw.compute_radial_profile(identity_spec, 0.1, 2.0, h=0.005)
 
 
 @pytest.fixture(scope="session")
 def fig2_radial_profile(fig2_spec):
-    return txlaw.compute_radial_profile(fig2_spec, 0.1, 2.0, h=0.005, resolution=640)
+    return txlaw.compute_radial_profile(fig2_spec, 0.1, 2.0, h=0.005)
 
 
 def mp_density(x):

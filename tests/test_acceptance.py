@@ -59,8 +59,7 @@ def test_criterion_01_mp_oracle(identity_spec):
 
 def test_criterion_02_circular_law_limit(identity_spec):
     t0 = time.perf_counter()
-    prof = txlaw.compute_radial_profile(identity_spec, 0.1, 2.0, h=0.005,
-                                        resolution=640)
+    prof = txlaw.compute_radial_profile(identity_spec, 0.1, 2.0, h=0.005)
     inside = (prof.r >= 0.1) & (prof.r <= 0.85)
     outside = (prof.r >= 1.15) & (prof.r <= 2.0)
     dev_in = float(np.max(np.abs(prof.chi[inside] - 1.0)))
@@ -209,7 +208,7 @@ def test_criterion_07_esd_match(fig2_spec, fig2_radial_profile):
     runs = txlaw.run_ensemble(cfg)
     table = txlaw.tabulate_density(fig2_spec, z)
     xs = np.linspace(table.bands[0][0], table.bands[-1][1], 800)
-    cdf = np.array([table.cdf2(float(x)) for x in xs])
+    cdf = table.cdf2(xs)
     devs = []
     for r in runs:
         lam = np.sort(r.singular[complex(z)])

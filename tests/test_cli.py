@@ -98,10 +98,40 @@ def test_simulate_command(tmp_path, fig2_file):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["runs"] == 2
+    assert summary["failed_runs"] == []
     assert summary["trivial_zero_counts"] == [0, 0]
     eig = (out / "eigenvalues.csv").read_text().splitlines()
     assert eig[0] == "run,re,im"
     assert len(eig) == 1 + 2 * 200
+
+
+def test_simulate_reports_failed_run(tmp_path, fig2_file, monkeypatch, capsys):
+    from txlaw import montecarlo
+
+    original = montecarlo.general_eigenvalues
+    calls = []
+
+    def fails_second_call(P):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("injected non-convergence")
+        return original(P)
+
+    monkeypatch.setattr(montecarlo, "general_eigenvalues", fails_second_call)
+    out = tmp_path / "sim"
+    with pytest.warns(UserWarning, match="run 1 failed"):
+        rc = main(
+            ["simulate", "--sigma", str(fig2_file), "--z", "1.5", "--runs", "3",
+             "--seed", "4", "--threads", "1", "--out", str(out)]
+        )
+    assert rc == 1
+    assert "runs [1] failed" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_runs"] == [1]
+    assert summary["runs"] == 2
+    assert summary["trivial_zero_counts"] == [0, 0]
+    eig = (out / "eigenvalues.csv").read_text().splitlines()[1:]
+    assert sorted({int(row.split(",")[0]) for row in eig}) == [0, 2]
 
 
 def test_verify_suite_small(tmp_path, fig2_file):

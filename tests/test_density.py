@@ -92,6 +92,64 @@ def test_log_potential_finite_with_zero_edge(fig2_spec):
     assert err <= 1e-5
 
 
+@pytest.mark.parametrize("spec_name", ["fig2_spec", "twoband_spec"])
+def test_radial_U_matches_log_potential(spec_name, request):
+    # the closed-form U against the engine's own quadrature of log(x) rho2(x)
+    # over a master-equation density table, which shares no code with it
+    spec = request.getfixturevalue(spec_name)
+    radii = (0.3, 0.7, 1.3)
+    prof = txlaw.compute_radial_profile(spec, radii[0], radii[-1], h=0.01)
+    idx = [int(np.argmin(np.abs(prof.r - r))) for r in radii]
+    assert np.allclose(prof.r[idx], radii, rtol=0, atol=1e-12)
+    for r, i in zip(radii, idx):
+        quad_U, err = txlaw.log_potential(spec, r)
+        assert err <= 1e-6
+        assert prof.U[i] == pytest.approx(quad_U, abs=1e-7), r
+
+
+def test_radial_law_exact_on_identity(identity_radial_profile):
+    prof = identity_radial_profile
+    inside = prof.r < 1
+    r = prof.r[inside]
+    assert np.max(np.abs(prof.F[inside] - r * r)) <= 1e-14
+    assert np.max(np.abs(prof.chi[inside] - 1.0)) <= 1e-14
+    assert np.max(np.abs(prof.U[inside] - (r * r - 1.0))) <= 1e-14
+    assert np.all(prof.F[~inside] == 1.0) and np.all(prof.chi[~inside] == 0.0)
+    assert np.all(np.isfinite(prof.U) & np.isfinite(prof.chi) & np.isfinite(prof.F))
+
+
+def test_radial_profile_rejects_unnormalized_spectrum():
+    spec = txlaw.SigmaSpectrum(s=(2.0, 1.0), l=(5, 5), N=10, M=10)
+    with pytest.raises(DomainError, match="normalize"):
+        txlaw.compute_radial_profile(spec, 0.1, 0.5, h=0.01)
+
+
+@pytest.mark.parametrize("spec_name, z", [("fig2_spec", 1.2), ("twoband_spec", 1.5)])
+def test_quantiles_match_brentq_on_cdf(spec_name, z, request):
+    spec = request.getfixturevalue(spec_name)
+    table = txlaw.tabulate_density(spec, z)
+    N = 1000
+    qt = txlaw.quantiles(table, N)
+    lo, hi = table.bands[0][0], table.bands[-1][1]
+    js = np.r_[1, 2, np.random.default_rng(5).choice(np.arange(3, N - 1), 30), N - 1]
+    for j in js:
+        want = brentq(lambda x: table.cdf2(x) - j / N, lo, hi, xtol=1e-16,
+                      rtol=4 * np.finfo(float).eps)
+        assert qt.gamma[j - 1] == pytest.approx(want, rel=1e-12, abs=0), j
+
+
+@pytest.mark.parametrize("spec_name, z", [("fig2_spec", 1.2), ("twoband_spec", 1.5)])
+def test_cdf2_array_equals_scalar_calls(spec_name, z, request):
+    table = txlaw.tabulate_density(request.getfixturevalue(spec_name), z)
+    edges = np.array([x for band in table.bands for x in band])
+    xs = np.r_[np.linspace(-0.5, table.bands[-1][1] + 0.5, 701), edges]
+    got = table.cdf2(xs)
+    want = np.array([table.cdf2(float(x)) for x in xs])
+    assert isinstance(table.cdf2(1.0), float)
+    assert np.array_equal(got, want)
+    assert np.all(np.diff(table.cdf2(np.sort(xs))) >= -1e-15)
+
+
 def test_radial_profile_identity(identity_radial_profile):
     prof = identity_radial_profile
     inside = (prof.r >= 0.1) & (prof.r <= 0.85)
