@@ -179,7 +179,8 @@ def cmd_quantiles(args) -> int:
     spec = _load_spec(args)
     opts = _opts_from_args(args)
     z = args.z if args.z is not None else 0.0
-    table = tabulate_density(spec, z, resolution=args.grid, opts=opts)
+    profile = find_edges(spec, z, opts, FindEdgesOptions(scan_points=args.grid))
+    table = tabulate_density(spec, z, resolution=args.grid, profile=profile, opts=opts)
     qt = quantiles(table, spec.K)
     write_quantiles_csv(qt, outdir / "quantiles.csv")
     _manifest(args, outdir, t0, {"total_mass": table.total_mass})
@@ -224,26 +225,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _suite_checks(args, spec, opts) -> dict[str, dict]:
-    """Named verification suites; each check returns pass/fail plus numbers."""
-    from .verify_suites import run_suite
-
-    return run_suite(args.suite, spec, opts, args)
+def _write_checks(args, outdir: Path, t0: float, name: str, results: dict) -> int:
+    """Write check results and the manifest; print one PASS/FAIL line per check."""
+    (outdir / name).write_text(json.dumps(results, indent=2, default=float))
+    _manifest(args, outdir, t0)
+    for check, v in results.items():
+        print(f"[{'PASS' if v.get('passed') else 'FAIL'}] {check}", file=sys.stderr)
+    return EXIT_OK if all(v.get("passed", False) for v in results.values()) else EXIT_DOMAIN
 
 
 def cmd_verify(args) -> int:
     t0 = time.time()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = _load_spec(args)
-    opts = _opts_from_args(args)
-    results = _suite_checks(args, spec, opts)
-    (outdir / "verify.json").write_text(json.dumps(results, indent=2, default=float))
-    _manifest(args, outdir, t0)
-    ok = all(v.get("passed", False) for v in results.values())
-    for name, v in results.items():
-        print(f"[{'PASS' if v.get('passed') else 'FAIL'}] {name}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_DOMAIN
+    from .verify_suites import run_suite
+
+    results = run_suite(args.suite, _load_spec(args), _opts_from_args(args), args)
+    return _write_checks(args, outdir, t0, "verify.json", results)
 
 
 def cmd_selfcheck(args) -> int:
@@ -252,13 +250,7 @@ def cmd_selfcheck(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     from .verify_suites import run_selfcheck
 
-    results = run_selfcheck()
-    (outdir / "selfcheck.json").write_text(json.dumps(results, indent=2, default=float))
-    _manifest(args, outdir, t0)
-    ok = all(v.get("passed", False) for v in results.values())
-    for name, v in results.items():
-        print(f"[{'PASS' if v.get('passed') else 'FAIL'}] {name}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_DOMAIN
+    return _write_checks(args, outdir, t0, "selfcheck.json", run_selfcheck())
 
 
 def main(argv=None) -> int:

@@ -54,15 +54,12 @@ def _x_of_theta(lo: float, hi: float, th: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Segment:
-    band: int
     t0: float
     t1: float
     mid: float
     half: float
-    theta: np.ndarray
     x: np.ndarray
     jac: np.ndarray            # dx/dtheta at the nodes
-    rho1: np.ndarray
     rho2: np.ndarray
     leg2: np.ndarray           # Legendre coefficients of rho2 * dx/dtheta
     base2: float               # cumulative rho2 mass before this segment
@@ -306,8 +303,7 @@ def tabulate_density(
         for (t0, t1, th, x, r1, r2) in sorted(done, key=lambda s: s[0]):
             jac = half * np.sin(th)
             seg = _Segment(
-                band=bi, t0=t0, t1=t1, mid=mid, half=half,
-                theta=th, x=x, jac=jac, rho1=r1, rho2=r2,
+                t0=t0, t1=t1, mid=mid, half=half, x=x, jac=jac, rho2=r2,
                 leg2=_legendre_coeffs(r2 * jac), base2=base2,
             )
             scale = (t1 - t0) / 2.0

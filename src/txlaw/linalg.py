@@ -8,9 +8,24 @@ engine relies on, with deterministic ordering conventions.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 
 from .errors import InputError, SolverError
+
+
+def _require_symmetric(A, name: str) -> np.ndarray:
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InputError(f"{name} needs a square matrix")
+    scale = np.max(np.abs(A)) or 1.0
+    if np.max(np.abs(A - A.conj().T)) > 1e-12 * scale:
+        raise InputError("matrix is not symmetric to 1e-12 relative")
+    return A
 
 
 def symmetric_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -19,14 +34,13 @@ def symmetric_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Requires symmetry to 1e-12 relative; A V = V diag(lam) holds to
     1e-10 ||A|| and V is orthonormal to 1e-12.
     """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError("symmetric_eigen needs a square matrix")
-    scale = np.max(np.abs(A)) or 1.0
-    if np.max(np.abs(A - A.conj().T)) > 1e-12 * scale:
-        raise InputError("matrix is not symmetric to 1e-12 relative")
-    lam, V = np.linalg.eigh(A)
+    lam, V = np.linalg.eigh(_require_symmetric(A, "symmetric_eigen"))
     return lam, V
+
+
+def symmetric_eigvals(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a symmetric matrix, checked as in symmetric_eigen."""
+    return np.linalg.eigvalsh(_require_symmetric(A, "symmetric_eigvals"))
 
 
 def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,6 +130,42 @@ def companion_roots_batch(P: np.ndarray) -> np.ndarray:
         step = np.where(np.abs(der) > 1e-300, val / der, 0.0)
         step = np.where(np.abs(step) < 0.5 * (1 + np.abs(roots)), step, 0.0)
     return roots - step
+
+
+@functools.cache
+def _blas_thread_fns():
+    """(get, set) of the thread count of numpy's OpenBLAS; () without one."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return ()
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the block with OpenBLAS on n threads; restore the caller's count after.
+
+    The count is global to the process (OpenBLAS's thread-local setter is not
+    thread-local in numpy's build), so set it once around a whole thread pool.
+    Without numpy's OpenBLAS this does nothing.
+    """
+    fns = _blas_thread_fns()
+    if not fns:
+        yield
+        return
+    get, set_ = fns
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def qr_haar(n: int, rng: np.random.Generator) -> np.ndarray:

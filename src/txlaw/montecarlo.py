@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, SolverError
 from .density import DensityTable, QuantileTable, RadialProfile
-from .linalg import general_eigenvalues, operator_norm_estimate, qr_haar, symmetric_eigen
+from .linalg import (blas_threads, general_eigenvalues, operator_norm_estimate, qr_haar,
+                     symmetric_eigvals)
 from .master import SolverOptions, solve_master, sqrt_upper
 from .sigma import SigmaSpectrum
 
@@ -121,14 +122,14 @@ def sample_run(cfg: EnsembleConfig, run_index: int) -> RunResult:
         eig = general_eigenvalues(P)
         singular: dict[complex, np.ndarray] = {}
         for z in cfg.z_list:
+            zy = z.real if z.imag == 0 else z      # a real z keeps Y and Y^dag Y real
             if cfg.N <= cfg.M:
-                Y = P - z * np.eye(cfg.N)
+                Y = P - zy * np.eye(cfg.N)
             else:
                 # the nontrivial spectrum of T X - z is that of the M x M
                 # T^T X^T - z, with the same Sigma spectrum and entry variance
-                Y = T.T @ X.T - z * np.eye(cfg.M)
-            Q = Y.conj().T @ Y
-            lam, _ = symmetric_eigen(0.5 * (Q + Q.conj().T))
+                Y = T.T @ X.T - zy * np.eye(cfg.M)
+            lam = symmetric_eigvals(Y.conj().T @ Y)
             singular[z] = np.maximum(lam, 0.0)   # clip eigensolver noise at 0
     except np.linalg.LinAlgError as exc:
         # kernel non-convergence: mark the run failed, consumers exclude it
@@ -151,12 +152,14 @@ def sample_run(cfg: EnsembleConfig, run_index: int) -> RunResult:
 
 
 def run_ensemble(cfg: EnsembleConfig) -> list[RunResult]:
-    """All runs, parallel over a thread pool, assembled in run order."""
-    if cfg.threads <= 1 or cfg.runs == 1:
-        return [sample_run(cfg, k) for k in range(cfg.runs)]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-        futs = [ex.submit(sample_run, cfg, k) for k in range(cfg.runs)]
-        return [f.result() for f in futs]
+    """All runs, parallel over a thread pool, assembled in run order. BLAS runs on
+    one thread, so the bits do not depend on the worker, core or BLAS thread count."""
+    with blas_threads(1):
+        if cfg.threads <= 1 or cfg.runs == 1:
+            return [sample_run(cfg, k) for k in range(cfg.runs)]
+        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
+            futs = [ex.submit(sample_run, cfg, k) for k in range(cfg.runs)]
+            return [f.result() for f in futs]
 
 
 # ---------------------------------------------------------------------------

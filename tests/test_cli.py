@@ -77,6 +77,27 @@ def test_quantiles_command(tmp_path, fig2_file):
     assert np.all(np.diff(gam) >= 0)
 
 
+def test_quantiles_grid_sets_support_scan(tmp_path, fig2_file, monkeypatch):
+    from txlaw import cli, density
+
+    original = cli.find_edges
+    scans = []
+
+    def recording(*args, **kwargs):
+        profile = original(*args, **kwargs)
+        scans.append(profile.scan_points)
+        return profile
+
+    monkeypatch.setattr(cli, "find_edges", recording)
+    monkeypatch.setattr(density, "find_edges", recording)
+    rc = main(
+        ["quantiles", "--sigma", str(fig2_file), "--z", "1.5", "--grid", "200",
+         "--out", str(tmp_path / "q")]
+    )
+    assert rc == 0
+    assert scans == [200]
+
+
 def test_chi_command(tmp_path, fig2_file):
     out = tmp_path / "chi"
     rc = main(

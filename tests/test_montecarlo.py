@@ -1,10 +1,14 @@
 """Ensemble sampling and the statistical verification operations (small scale)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 from scipy.stats import ks_2samp
 
 import txlaw
+from txlaw import linalg, montecarlo
 from txlaw.errors import DomainError
 from txlaw.montecarlo import (
     _rng_for_run,
@@ -34,13 +38,68 @@ def fig2_200():
 
 
 def test_determinism_across_worker_counts(spec200):
-    cfg1 = small_cfg(spec200, z_list=(1.5 + 0j,), threads=1)
-    cfg2 = small_cfg(spec200, z_list=(1.5 + 0j,), threads=4)
-    runs1 = txlaw.run_ensemble(cfg1)
-    runs2 = txlaw.run_ensemble(cfg2)
-    for a, b in zip(runs1, runs2):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.singular[1.5 + 0j], b.singular[1.5 + 0j])
+    # at N = 600 the caller's BLAS thread count changes LAPACK's bits, so the
+    # second case fails unless every run computes on one BLAS thread
+    spec600 = txlaw.SigmaSpectrum(s=(1.0,), l=(600,), N=600, M=600)
+    for spec, runs, workers in ((spec200, 4, 4), (spec600, 2, 2)):
+        with linalg.blas_threads(2):
+            runs1 = txlaw.run_ensemble(
+                small_cfg(spec, runs=runs, z_list=(1.5 + 0j,), threads=1))
+        with linalg.blas_threads(1):
+            runs2 = txlaw.run_ensemble(
+                small_cfg(spec, runs=runs, z_list=(1.5 + 0j,), threads=workers))
+        for a, b in zip(runs1, runs2):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.singular[1.5 + 0j], b.singular[1.5 + 0j])
+
+
+def test_run_ensemble_restores_blas_threads(spec200, monkeypatch):
+    fns = linalg._blas_thread_fns()
+    if not fns:
+        pytest.skip("numpy has no OpenBLAS")
+    get = fns[0]
+    original = montecarlo.general_eigenvalues
+    seen = []
+
+    def fails_second_call(P):
+        seen.append(get())
+        if next(calls) == 1:          # atomic across the pool's threads
+            raise np.linalg.LinAlgError("injected non-convergence")
+        return original(P)
+
+    def raises(P):
+        raise RuntimeError("injected crash")
+
+    with linalg.blas_threads(2):
+        before = get()
+        monkeypatch.setattr(montecarlo, "general_eigenvalues", fails_second_call)
+        for workers in (1, 2):
+            seen.clear()
+            calls = itertools.count()
+            with pytest.warns(UserWarning, match="failed"):
+                runs = txlaw.run_ensemble(small_cfg(spec200, runs=3, threads=workers))
+            assert sum(r.failed for r in runs) == 1
+            assert seen == [1, 1, 1]
+            assert get() == before
+        monkeypatch.setattr(montecarlo, "general_eigenvalues", raises)
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError, match="injected crash"):
+                txlaw.run_ensemble(small_cfg(spec200, runs=3, threads=workers))
+            assert get() == before
+
+
+@pytest.mark.parametrize("z", [0.5 + 0j, 1.5 + 0j, 1.2 * np.exp(0.7j)])
+def test_singular_spectrum_matches_svdvals(fig2_200, z):
+    # Gram eigenvalues of one draw against the squared singular values of the
+    # same Y = T X - z from an SVD
+    cfg = small_cfg(fig2_200, runs=1, z_list=(z,), seed=61)
+    lam = txlaw.sample_run(cfg, 0).singular[z]
+    rng = _rng_for_run(cfg.seed, 0)
+    T = build_t(cfg, rng)
+    X = sample_entries(rng, (cfg.M, cfg.N), cfg.x_dist, cfg.K)
+    ref = np.sort(svdvals(T @ X - z * np.eye(cfg.N)) ** 2)
+    assert np.max(np.abs(lam - ref)) <= 1e-12 * ref[-1]
+    assert abs(lam[0] - ref[0]) <= 1e-9 * ref[0]
 
 
 def test_trivial_zero_count_tall():
