@@ -73,6 +73,7 @@ from .density import (
     write_radial_csv,
 )
 from .linalg import (
+    arrowhead_eigvals,
     companion_roots,
     companion_roots_batch,
     general_eigenvalues,

@@ -51,7 +51,8 @@ def _add_common(p: argparse.ArgumentParser, need_sigma: bool = True):
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eta0", type=float, default=1e-7)
+    p.add_argument("--eta0", type=float, default=1e-7,
+                   help="ignored: densities are solved on the real axis")
     p.add_argument("--grid", type=int, default=2000, help="scan or table resolution")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--threads", type=int, default=2)
@@ -89,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _opts_from_args(args) -> SolverOptions:
-    return SolverOptions(
-        eta0=args.eta0, params=ModelParams(z_band_min=args.zband)
-    )
+    return SolverOptions(params=ModelParams(z_band_min=args.zband))
 
 
 def _manifest(args, outdir: Path, t0: float, extra: dict | None = None) -> None:

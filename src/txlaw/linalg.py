@@ -132,6 +132,26 @@ def companion_roots_batch(P: np.ndarray) -> np.ndarray:
     return roots - step
 
 
+def arrowhead_eigvals(alpha: np.ndarray, rho: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """Row-wise roots of m - alpha + sum_k rho_k / (m - poles_k).
+
+    They are the eigenvalues of the arrowhead matrix [[alpha, -rho^T],
+    [1, diag(poles)]], the partial-fraction linearization of the rational
+    function (Su-Bai, SIMAX 32, 2011). alpha has shape (B,), rho and poles
+    (B, d); real input is solved in real arithmetic, where non-real roots
+    come in exact conjugate pairs. Returns (B, d + 1) complex.
+    """
+    poles = np.asarray(poles)
+    B, d = poles.shape
+    A = np.zeros((B, d + 1, d + 1), dtype=np.result_type(alpha, rho, poles))
+    A[:, 0, 0] = alpha
+    A[:, 0, 1:] = -np.asarray(rho)
+    A[:, 1:, 0] = 1.0
+    k = np.arange(1, d + 1)
+    A[:, k, k] = poles
+    return np.linalg.eigvals(A).astype(complex, copy=False)
+
+
 @functools.cache
 def _blas_thread_fns():
     """(get, set) of the thread count of numpy's OpenBLAS; () without one."""

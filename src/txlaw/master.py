@@ -7,11 +7,16 @@ The pair (m1, m2) solves
 
 for a spectral parameter w in the closed upper half-plane. Substituting
 m = sqrt(w) (1 + m1) reduces the system to a single rational equation
-f(sqrt(w), m) = 0 whose cleared form is a polynomial of degree 3n + 1 in m
-(n = number of distinct Sigma eigenvalues). The solver finds all polynomial
-roots via a balanced companion matrix, filters by the half-plane conditions
-Im m1 > 0 and Im(w m1) > 0, polishes with Newton steps on f, and falls back
-to continuation in Im w when the filter is ambiguous.
+f(sqrt(w), m) = 0. Its partial-fraction form
+
+    f = m - alpha + sum_k rho_k / (m - pi_k)
+
+has 3n poles pi_k, the roots of the n per-atom cubics (n = number of
+distinct Sigma eigenvalues), so its 3n + 1 roots are the eigenvalues of an
+arrowhead matrix. The solver takes them, filters by the half-plane
+conditions Im m1 > 0 and Im(w m1) > 0, polishes with Newton steps on f, and
+falls back to continuation in Im w when no root is admissible. At real
+w > 0 everything is real; the densities are solved there directly.
 
 All evaluators are vectorized over w and m.
 """
@@ -24,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SolverError, TableTooCoarseError
-from .linalg import companion_roots_batch
+from .linalg import arrowhead_eigvals
 from .sigma import ModelParams, SigmaSpectrum
 
-POLE_RTOL = 1e-8      # reject polynomial roots this close to a cleared pole
 UNIQUE_ETA = 1e-6     # above this Im w the admissible root must be unique
 
 
@@ -41,8 +45,6 @@ def sqrt_upper(w):
 class SolverOptions:
     residual_tol: float = 1e-12
     max_newton: int = 50
-    eta0: float = 1e-7           # base height for the Stieltjes inversion limit
-    density_floor: float = 1e-5  # support indicator threshold on rho1
     params: ModelParams = field(default_factory=ModelParams)
 
 
@@ -72,7 +74,7 @@ class MasterSolution:
     m2c: complex
     residual: float
     n_candidate_roots: int
-    method: str          # "polynomial" or "newton-continuation"
+    method: str          # "arrowhead" or "newton-continuation"
     iterations: int
 
 
@@ -175,82 +177,98 @@ def m2_from_m1(m1, w, z_mod: float):
 
 
 # ---------------------------------------------------------------------------
-# polynomial construction and the batched solver
+# the arrowhead linearization and the batched solver
 # ---------------------------------------------------------------------------
 
-def _polymul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise polynomial product, coefficients descending, shapes (B, na), (B, nb)."""
-    B, na = a.shape
-    nb = b.shape[1]
-    out = np.zeros((B, na + nb - 1), dtype=complex)
-    for i in range(na):
-        out[:, i : i + nb] += a[:, i : i + 1] * b
-    return out
+def _cubic_roots(u: np.ndarray, s: np.ndarray, z2: float) -> np.ndarray:
+    """Roots of every p_i(m) = u m^3 - (s_i + |z|^2) m^2 - u |z|^2 m + |z|^4.
+
+    u has shape (B,). Eigenvalues of the (B, n) batch of 3x3 companion
+    matrices, then two Newton steps on p_i; returns (B, n, 3). For real u > 0
+    the three roots are real and are returned as real numbers.
+    """
+    uB = u[:, None]
+    C = np.zeros((u.size, s.size, 3, 3), dtype=u.dtype)
+    C[..., 0, 0] = (s + z2) / uB
+    C[..., 0, 1] = z2
+    C[..., 0, 2] = -z2 * z2 / uB
+    C[..., 1, 0] = C[..., 2, 1] = 1.0
+    r = np.linalg.eigvals(C)
+    if np.isrealobj(u):
+        if np.any(np.abs(r.imag) > 1e-8 * np.max(np.abs(r), axis=-1, keepdims=True)):
+            raise SolverError(f"a per-atom cubic lost its three real roots (|z| = {np.sqrt(z2)})")
+        r = r.real
+    uB = uB[..., None]
+    q = (s + z2)[:, None]
+    for _ in range(2):
+        r = r - (((uB * r - q) * r - uB * z2) * r + z2 * z2) / ((3 * uB * r - 2 * q) * r - uB * z2)
+    return r
 
 
-def _atom_cubics_batch(u: np.ndarray, spec: SigmaSpectrum, z_mod: float):
-    """Per-atom cleared denominators as coefficient rows; linear when |z| = 0."""
-    B = u.shape[0]
+def _arrowhead(u: np.ndarray, spec: SigmaSpectrum, z_mod: float):
+    """(alpha, rho, pi) with f(u, m) = m - alpha + sum_k rho_k / (m - pi_k).
+
+    With c_i = w_i s_i: alpha = u - sum_i c_i / u; pi are the roots of the
+    per-atom cubics with residues rho = c_i pi (pi^2 - |z|^2) / p_i'(pi). At
+    |z| = 0 the cubics degenerate to the poles s_i / u with residues
+    c_i s_i / u^2 (also where |z|^2 underflows, as in master_f).
+    """
+    s = np.asarray(spec.s, dtype=float)
+    c = spec.weights * s
     z2 = z_mod * z_mod
-    ones = np.ones(B, dtype=complex)
-    cubs = []
-    if z_mod == 0.0:
-        for si in spec.s:
-            cubs.append(np.stack([u, -si * ones], axis=1))
-        numf = np.stack([ones, np.zeros(B, dtype=complex)], axis=1)  # m
-    else:
-        for si in spec.s:
-            cubs.append(
-                np.stack([u, -(si + z2) * ones, -u * z2, (z2 * z2) * ones], axis=1)
-            )
-        zeros = np.zeros(B, dtype=complex)
-        numf = np.stack([ones, zeros, -z2 * ones, zeros], axis=1)  # m^3 - |z|^2 m
-    return cubs, numf
+    alpha = u - c.sum() / u
+    uB = u[:, None]
+    if z2 == 0.0:
+        return alpha, c * s / (uB * uB), s / uB
+    pi = _cubic_roots(u, s, z2)
+    uB = uB[..., None]
+    dp = (3 * uB * pi - 2 * (s + z2)[:, None]) * pi - uB * z2
+    rho = c[:, None] * pi * (pi * pi - z2) / dp
+    return alpha, rho.reshape(u.size, 3 * s.size), pi.reshape(u.size, 3 * s.size)
 
 
 def build_master_polynomial(w, spec: SigmaSpectrum, z_mod: float) -> np.ndarray:
-    """Coefficients (descending) of the cleared master polynomial, degree 3n+1.
+    """Coefficients (descending) of f times the product of the per-atom cubics.
 
-    For |z| = 0 the cubics degenerate and the cleared degree drops to n+1.
-    Accepts a scalar or an array of w; returns shape (deg+1,) or (B, deg+1).
+    Degree 3n + 1; for |z| = 0 the cubics degenerate and the degree drops to
+    n + 1. A small-n test oracle for the arrowhead solver.
     """
-    w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
-    u = sqrt_upper(w_arr)
-    cubs, numf = _atom_cubics_batch(u, spec, z_mod)
-    wts = spec.weights
-    B = u.shape[0]
-    P = np.stack([np.ones(B, dtype=complex), -u], axis=1)  # (m - sqrt(w))
-    for c in cubs:
-        P = _polymul_batch(P, c)
-    for i, si in enumerate(spec.s):
-        term = (wts[i] * si) * numf
-        for j in range(spec.n):
+    u = complex(sqrt_upper(w))
+    z2 = z_mod * z_mod
+    if z_mod == 0.0:
+        cubs = [np.array([u, -si]) for si in spec.s]
+        num = np.array([1.0, 0.0])                      # m
+    else:
+        cubs = [np.array([u, -(si + z2), -u * z2, z2 * z2]) for si in spec.s]
+        num = np.array([1.0, 0.0, -z2, 0.0])            # m^3 - |z|^2 m
+    P = np.array([1.0, -u])
+    for cub in cubs:
+        P = np.convolve(P, cub)
+    for i, (si, wi) in enumerate(zip(spec.s, spec.weights)):
+        term = wi * si * num
+        for j, cub in enumerate(cubs):
             if j != i:
-                term = _polymul_batch(term, cubs[j])
-        P[:, P.shape[1] - term.shape[1] :] += term
-    scale = np.max(np.abs(P), axis=1, keepdims=True)
-    if np.any(scale == 0) or not np.all(np.isfinite(scale)):
-        raise SolverError("master polynomial coefficients overflowed")
-    if np.isscalar(w) or np.ndim(w) == 0:
-        return P[0]
+                term = np.convolve(term, cub)
+        P[P.size - term.size :] += term
     return P
 
 
-def _pole_scale_ok(u, roots, spec: SigmaSpectrum, z_mod: float) -> np.ndarray:
-    """Mask of roots safely away from the cleared denominators."""
-    z2 = z_mod * z_mod
-    am = np.abs(roots)
-    au = np.abs(u)
-    ok = np.ones(roots.shape, dtype=bool)
-    for si in spec.s:
-        if z_mod == 0.0:
-            p = u * roots - si
-            sc = au * am + si
-        else:
-            p = u * roots**3 - (si + z2) * roots**2 - u * z2 * roots + z2 * z2
-            sc = au * am**3 + (si + z2) * am**2 + au * z2 * am + z2 * z2
-        ok &= np.abs(p) > POLE_RTOL * sc
-    return ok
+def _polish(w, m, spec: SigmaSpectrum, z_mod: float, steps: int):
+    """Newton steps on f from m; returns (m, |f|).
+
+    A row keeps its start where the steps leave the admissible half-planes
+    or raise the residual.
+    """
+    r0 = np.abs(master_f(w, m, spec, z_mod))
+    mp = m
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            f, fm, _, _, _ = master_f_all(w, mp, spec, z_mod)
+            mp = mp - np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
+        r = np.abs(master_f(w, mp, spec, z_mod))
+        m1 = mp / sqrt_upper(w) - 1.0
+        keep = (m1.imag > 0) & ((w * m1).imag > 0) & (r <= r0)
+    return np.where(keep, mp, m), np.where(keep, r, r0)
 
 
 def solve_master_batch(
@@ -262,51 +280,43 @@ def solve_master_batch(
 ):
     """Vectorized master-equation solve for an array of w in the upper half-plane.
 
-    Returns (m, m1, m2, residual, n_candidates). Entries with no admissible
-    root get m = nan and n_candidates = 0; callers decide whether to fall
-    back to continuation (solve_master does).
+    One arrowhead eigensolve per point, in real arithmetic when every w is
+    real and positive. Returns (m, m1, m2, residual, n_candidates). Entries
+    with no admissible root get m = nan and n_candidates = 0 (at real w:
+    outside the support); callers decide whether to fall back to
+    continuation (solve_master does). Raises SolverError when a polished
+    admissible root misses opts.residual_tol.
     """
     opts = opts or SolverOptions()
     w = np.asarray(w, dtype=complex)
     shape = w.shape
     wf = w.ravel()
     u = sqrt_upper(wf)
-    P = build_master_polynomial(wf, spec, z_mod)
-    roots = companion_roots_batch(P)
-    uB = u[:, None]
-    m1 = roots / uB - 1.0
+    if np.any(u == 0):
+        raise DomainError("the master equation needs w != 0")
+    roots = arrowhead_eigvals(*_arrowhead(u.real if np.all(u.imag == 0) else u, spec, z_mod))
+    m1 = roots / u[:, None] - 1.0
     adm = (m1.imag > 0) & ((wf[:, None] * m1).imag > 0)
-    adm &= _pole_scale_ok(uB, roots, spec, z_mod)
-
-    fvals = master_f(wf[:, None], roots, spec, z_mod)
-    fabs = np.where(adm, np.abs(fvals), np.inf)
-    idx = np.argmin(fabs, axis=1)
-    rows = np.arange(wf.size)
-    m = roots[rows, idx]
     ncand = adm.sum(axis=1)
+    idx = np.argmax(adm, axis=1)
+    multi = ncand > 1
+    if np.any(multi):
+        fabs = np.abs(master_f(wf[multi, None], roots[multi], spec, z_mod))
+        idx[multi] = np.argmin(np.where(adm[multi], fabs, np.inf), axis=1)
+
     ok = ncand > 0
-    m = np.where(ok, m, np.nan + 0j)
-
-    m_pre = m.copy()
-    with np.errstate(all="ignore"):
-        resid_pre = np.abs(master_f(wf, np.where(ok, m, 1.0), spec, z_mod))
-    for _ in range(polish_steps):
-        with np.errstate(all="ignore"):
-            f, fm, _, _, _ = master_f_all(wf, np.where(ok, m, 1.0), spec, z_mod)
-            step = np.where(ok & (np.abs(fm) > 1e-300), f / np.where(ok, fm, 1.0), 0.0)
-            m = np.where(ok, m - step, m)
-    with np.errstate(all="ignore"):
-        resid = np.abs(master_f(wf, np.where(ok, m, 1.0), spec, z_mod))
-        # polish must not leave the admissible half-planes or raise the residual
-        m1_post = m / u - 1.0
-        keep = ok & (m1_post.imag > 0) & ((wf * m1_post).imag > 0) & (resid <= resid_pre)
-        m = np.where(keep | ~ok, m, m_pre)
-        resid = np.abs(master_f(wf, np.where(ok, m, 1.0), spec, z_mod))
-        resid = np.where(ok, resid, np.inf)
-        m1 = m / u - 1.0
-        m2 = m2_from_m1(np.where(ok, m1, 0.0), wf, z_mod)
-        m2 = np.where(ok, m2, np.nan + 0j)
-
+    m = np.full(wf.shape, np.nan + 0j)
+    resid = np.full(wf.shape, np.inf)
+    m[ok], resid[ok] = _polish(wf[ok], roots[ok, idx[ok]], spec, z_mod, polish_steps)
+    if np.any(resid[ok] > opts.residual_tol):
+        k = np.argmax(np.where(ok, resid, 0.0))
+        raise SolverError(
+            f"admissible root at w = {wf[k]} has residual {resid[k]:.2e} "
+            f"> {opts.residual_tol:.0e}"
+        )
+    m1 = m / u - 1.0
+    m2 = np.full(wf.shape, np.nan + 0j)
+    m2[ok] = m2_from_m1(m1[ok], wf[ok], z_mod)
     return (
         m.reshape(shape),
         m1.reshape(shape),
@@ -321,9 +331,9 @@ def _continuation_solve(
 ) -> tuple[complex, int]:
     """Track the analytic branch downward in Im w from eta = 1.
 
-    Replaces ambiguous root selection near the real axis: at eta = 1 the
-    admissible polynomial root is unique, and the branch is followed by
-    Newton steps with geometric eta decrease.
+    Covers points where no root is admissible: at eta = 1 the admissible
+    root is unique, and the branch is followed by Newton steps with
+    geometric eta decrease.
     """
     E = w.real
     eta_target = max(w.imag, 0.0)
@@ -362,8 +372,8 @@ def solve_master(
 ) -> MasterSolution:
     """Solve the master equation at a single spectral parameter.
 
-    Primary path: companion roots of the cleared polynomial plus half-plane
-    filtering. Fallback: Newton continuation from Im w = 1. Raises
+    Primary path: arrowhead eigenvalues plus half-plane filtering. Fallback
+    when no root is admissible: Newton continuation from Im w = 1. Raises
     SolverError when no admissible solution exists.
     """
     opts = opts or SolverOptions()
@@ -372,23 +382,17 @@ def solve_master(
     if wc.imag < 0:
         raise DomainError("Im w must be >= 0")
     param = SpectralParameter(w=wc, z_mod=z_mod)
-    m, m1, m2, resid, ncand = solve_master_batch(np.array([wc]), spec, z_mod, opts)
-    method = "polynomial"
-    iters = 0
+    m, m1, _, resid, ncand = solve_master_batch(np.array([wc]), spec, z_mod, opts)
     n_cand = int(ncand[0])
-    if n_cand == 0 or resid[0] > opts.residual_tol:
+    if n_cand == 0:
         mc, iters = _continuation_solve(wc, spec, z_mod, opts)
         method = "newton-continuation"
-        u = complex(sqrt_upper(wc))
-        m1v = mc / u - 1.0
-        m2v = complex(m2_from_m1(m1v, wc, z_mod))
+        m1v = mc / complex(sqrt_upper(wc)) - 1.0
         residv = abs(complex(master_f(wc, mc, spec, z_mod)))
-        n_cand = max(n_cand, 1)
+        n_cand = 1
     else:
+        method, iters = "arrowhead", 0
         mc, m1v, residv = complex(m[0]), complex(m1[0]), float(resid[0])
-        # recompute through the scalar path so the definitional identity
-        # m2c == m2_from_m1(m1c) holds bit for bit
-        m2v = complex(m2_from_m1(m1v, wc, z_mod))
         if wc.imag >= UNIQUE_ETA and n_cand > 1:
             warnings.warn(
                 f"{n_cand} admissible roots at w = {wc}; selected the smallest "
@@ -399,7 +403,8 @@ def solve_master(
         parameter=param,
         m_c=mc,
         m1c=m1v,
-        m2c=m2v,
+        # through the scalar path, so m2c == m2_from_m1(m1c) holds bit for bit
+        m2c=complex(m2_from_m1(m1v, wc, z_mod)),
         residual=residv,
         n_candidate_roots=n_cand,
         method=method,
@@ -424,27 +429,11 @@ def cubic_factorize(w: float, spec: SigmaSpectrum, z_mod: float) -> CubicFactori
     wr = float(np.real(w))
     u = np.sqrt(wr)
     z2 = z_mod * z_mod
-    n = spec.n
-    a = np.empty(n)
-    b = np.empty(n)
-    c = np.empty(n)
-    for i, si in enumerate(spec.s):
-        coeffs = np.array([u, -(si + z2), -u * z2, z2 * z2])
-        r = np.roots(coeffs)
-        if np.max(np.abs(r.imag)) > 1e-8 * np.max(np.abs(r)):
-            raise SolverError(
-                f"cubic for s_{i} lost its three real roots (w={wr}, |z|={z_mod})"
-            )
-        r = np.sort(r.real)
-        # one Newton step per root against the exact cubic
-        for _ in range(2):
-            p = u * r**3 - (si + z2) * r**2 - u * z2 * r + z2 * z2
-            dp = 3 * u * r**2 - 2 * (si + z2) * r - u * z2
-            r = r - p / dp
-        neg, b_i, a_i = r
-        if not (a_i > b_i > 0 > neg):
-            raise SolverError(f"cubic root ordering failed for s_{i}")
-        a[i], b[i], c[i] = a_i, b_i, -neg
+    r = np.sort(_cubic_roots(np.array([u]), np.asarray(spec.s, dtype=float), z2)[0], axis=1)
+    neg, b, a = r.T
+    if not np.all((a > b) & (b > 0) & (0 > neg)):
+        raise SolverError(f"cubic root ordering failed (w={wr}, |z|={z_mod})")
+    c = -neg
     Ap = (a * a - z2) / (u * (a - b) * (a + c))
     Bp = (b * b - z2) / (u * (b - a) * (b + c))
     Cp = (z2 - c * c) / (u * (c + a) * (c + b))
@@ -472,7 +461,7 @@ def master_f_pfd(fac: CubicFactorization, m, spec: SigmaSpectrum):
 
 
 # ---------------------------------------------------------------------------
-# densities by Stieltjes inversion
+# densities on the real axis
 # ---------------------------------------------------------------------------
 
 def density_batch(
@@ -481,47 +470,28 @@ def density_batch(
     z_mod: float,
     opts: SolverOptions | None = None,
 ):
-    """(rho1, rho2, err1, err2) at positive x values by Richardson extrapolation.
+    """(rho1, rho2, err1, err2) at positive x, solved at w = x on the real axis.
 
-    Solves at eta, eta/2, eta/4 and extrapolates Im m to eta = 0. The base
-    eta is opts.eta0 capped at 0.01 x so the extrapolation stays inside the
-    analyticity radius next to the zero edge. The err arrays hold the spread
-    between the two- and three-point extrapolants.
+    Inside the support the real arrowhead has one conjugate pair of roots;
+    its admissible member gives rho = Im m / pi. Outside the support no root
+    is admissible and rho = 0. err1 and err2 are the change in rho1 and rho2
+    over one further Newton step from the returned root.
     """
     opts = opts or SolverOptions()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise DomainError("density_batch needs x > 0")
-    eta = np.minimum(opts.eta0, 0.01 * x)
-    im1 = []
-    im2 = []
-    for fac in (1.0, 0.5, 0.25):
-        w = x + 1j * (eta * fac)
-        m, m1, m2, resid, ncand = solve_master_batch(w, spec, z_mod, opts)
-        bad = ~np.isfinite(m)
-        if np.any(bad):
-            for k in np.nonzero(bad)[0]:
-                mc, _ = _continuation_solve(complex(w[k]), spec, z_mod, opts)
-                u = complex(sqrt_upper(w[k]))
-                m1[k] = mc / u - 1.0
-                m2[k] = complex(m2_from_m1(m1[k], w[k], z_mod))
-        im1.append(m1.imag.copy())
-        im2.append(m2.imag.copy())
-
-    def richardson(v):
-        f1, f2, f4 = v
-        three = (8 * f4 - 6 * f2 + f1) / 3.0
-        two = 2 * f4 - f2
-        return three, np.abs(three - two)
-
-    r1, e1 = richardson(im1)
-    r2, e2 = richardson(im2)
-    return (
-        np.maximum(0.0, r1) / np.pi,
-        np.maximum(0.0, r2) / np.pi,
-        e1 / np.pi,
-        e2 / np.pi,
-    )
+    m, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod, opts)
+    ok = ncand > 0
+    rho1, rho2, err1, err2 = (np.zeros(x.shape) for _ in range(4))
+    xo, m1o, m2o = x[ok], m1[ok], m2[ok]
+    f, fm, _, _, _ = master_f_all(xo, m[ok], spec, z_mod)
+    m1n = m1o - f / fm / np.sqrt(xo)
+    rho1[ok] = m1o.imag / np.pi
+    rho2[ok] = m2o.imag / np.pi
+    err1[ok] = np.abs(m1n.imag - m1o.imag) / np.pi
+    err2[ok] = np.abs(m2_from_m1(m1n, xo, z_mod).imag - m2o.imag) / np.pi
+    return rho1, rho2, err1, err2
 
 
 def density_at(

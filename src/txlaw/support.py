@@ -1,9 +1,10 @@
 """Support structure of the limiting densities: edges, critical points, regularity.
 
 The support of rho_{1,2} on (0, inf) is a finite union of bands whose
-endpoints satisfy f = df/dm = 0 simultaneously. Edges are located by a
-log-uniform density scan, bracketed by bisection on the support indicator
-and refined by a two-variable real Newton iteration. For |z| < 1 the lowest
+endpoints satisfy f = df/dm = 0 simultaneously. A real x > 0 lies in the
+support iff the master equation at w = x has an admissible root. Edges are
+located by a log-uniform scan of that test, bracketed by bisection on it and
+refined by a two-variable real Newton iteration. For |z| < 1 the lowest
 band reaches 0 where the density diverges like x^(-1/2) with a computable
 scale t.
 """
@@ -292,20 +293,19 @@ def support_indicator(
     opts: SolverOptions | None = None,
     diagnostics: bool = False,
 ) -> bool:
-    """True iff rho1(E) exceeds the density floor; optional cross-check against
-    the critical-value sign test."""
+    """True iff an admissible root exists at real w = E (exact support test);
+    optional cross-check against the critical-value sign test."""
     opts = opts or SolverOptions()
     if E <= 0:
         raise DomainError("support_indicator needs E > 0")
-    rho1, _, _, _ = density_batch(np.array([E]), spec, z_mod, opts)
-    inside = bool(rho1[0] > opts.density_floor)
+    inside = bool(_inside(np.array([E]), spec, z_mod, opts)[0])
     if diagnostics and z_mod > 0:
         cv = not support_indicator_by_critical_values(E, spec, z_mod)
         if cv != inside:
             import warnings
 
             warnings.warn(
-                f"support tests disagree at E={E}: density says {inside}, "
+                f"support tests disagree at E={E}: roots say {inside}, "
                 f"critical values say {cv}",
                 stacklevel=2,
             )
@@ -344,6 +344,11 @@ def zero_edge_scale(spec: SigmaSpectrum, z_mod: float, tau: float = 0.05) -> flo
     return float(t)
 
 
+def _inside(x: np.ndarray, spec: SigmaSpectrum, z_mod: float, opts: SolverOptions):
+    """Support mask at real x > 0: the master equation at w = x has an admissible root."""
+    return solve_master_batch(x, spec, z_mod, opts)[4] > 0
+
+
 def _bisect_indicator(
     lo: np.ndarray,
     hi: np.ndarray,
@@ -361,9 +366,7 @@ def _bisect_indicator(
         if np.all(hi - lo <= width * np.maximum(1.0, hi)):
             break
         mid = 0.5 * (lo + hi)
-        rho1, _, _, _ = density_batch(mid, spec, z_mod, opts)
-        mid_inside = rho1 > opts.density_floor
-        take_lo = mid_inside == lo_inside
+        take_lo = _inside(mid, spec, z_mod, opts) == lo_inside
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
     return 0.5 * (lo + hi)
@@ -433,7 +436,7 @@ def find_edges(
 ) -> SupportProfile:
     """Locate all support bands and edges of the limiting densities.
 
-    Scans the support indicator on a log-uniform grid, brackets each sign
+    Scans the exact support test on a log-uniform grid, brackets each sign
     change by bisection to relative width 1e-10, then refines nonzero edges
     by the two-variable Newton iteration to |f| <= 1e-10, |df/dm| <= 1e-8.
     Retries once at 4x resolution on inconsistent bracketing.
@@ -462,8 +465,7 @@ def _find_edges_once(
     scan: FindEdgesOptions,
 ) -> SupportProfile:
     grid = np.exp(np.linspace(np.log(scan.grid_lo), np.log(scan_max), scan_points))
-    rho1, _, _, _ = density_batch(grid, spec, z_mod, opts)
-    inside = rho1 > opts.density_floor
+    inside = _inside(grid, spec, z_mod, opts)
     if inside[-1]:
         raise BracketingError("support reaches the scan ceiling; enlarge scan_max")
     if not np.any(inside):
@@ -505,8 +507,8 @@ def _find_edges_once(
         e_fin, m_fin, fabs, dfabs, d2f = x, m_start, np.inf, np.inf, np.nan
         if got is not None:
             e_new, m_new, fabs_new, dfabs_new, d2f_new = got
-            # the floor crossing sits within ~1e-6 of the true edge; a larger
-            # jump means Newton escaped to a different edge
+            # the bisected crossing sits within the bisection width of the
+            # true edge; a jump beyond ~1e-6 means Newton escaped to another edge
             if abs(e_new - x) <= max(1e-6 * max(1.0, x), 100 * scan.bisect_width):
                 e_fin, m_fin, fabs, dfabs, d2f = (
                     e_new, m_new, fabs_new, dfabs_new, d2f_new,

@@ -24,6 +24,17 @@ def twoband_spec():
 
 
 @pytest.fixture(scope="session")
+def many_spec():
+    """Ten distinct values in two jittered clusters, like the law-many-atoms workload."""
+    jitter = np.array([[0.002, -0.004, 0.001, 0.003, -0.002],
+                       [-0.001, 0.004, -0.003, 0.002, 0.0]])
+    spread = 1 + 0.03 * np.arange(5) + jitter
+    s = np.concatenate([6.0 * spread[0] ** 2, 0.3 * spread[1] ** 2])
+    spec, _ = txlaw.normalize_spectrum(s, [4] * 5 + [36] * 5, 200, 200)
+    return spec
+
+
+@pytest.fixture(scope="session")
 def opts():
     return txlaw.SolverOptions()
 

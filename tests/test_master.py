@@ -1,12 +1,15 @@
 """Master-equation solver: evaluators, factorization, root selection, densities."""
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import txlaw
-from txlaw.errors import DomainError, SolverError, TableTooCoarseError
+from txlaw.errors import DomainError, SolverError, TableTooCoarseError, TxlawError
+from txlaw.master import _arrowhead, _continuation_solve
+from txlaw.sigma import MERGE_RTOL
 from conftest import mp_density, mp_stieltjes
 
 
@@ -237,6 +240,79 @@ def test_polynomial_real_roots_off_support(fig2_spec):
 
 
 # ---------------------------------------------------------------------------
+# the arrowhead root finder
+# ---------------------------------------------------------------------------
+
+def test_arrowhead_matches_polynomial_oracle(identity_spec, fig2_spec):
+    # every root of the cleared polynomial is an arrowhead root
+    for spec in (identity_spec, fig2_spec):
+        for w, z in ((2.0 + 0.5j, 1.5), (0.3 + 0.01j, 0.5), (4.0 + 0j, 1.2), (1.5 + 0.2j, 0.0)):
+            want = txlaw.companion_roots(txlaw.build_master_polynomial(w, spec, z))
+            u = np.atleast_1d(txlaw.sqrt_upper(w))
+            got = txlaw.arrowhead_eigvals(*_arrowhead(u, spec, z))[0]
+            assert got.size == want.size
+            scale = np.max(np.abs(want))
+            for r in want:
+                assert np.min(np.abs(got - r)) <= 1e-9 * scale
+
+
+def test_unique_admissible_root_many_atoms(many_spec):
+    rng = np.random.default_rng(11)
+    B = 2000
+    w = rng.uniform(0.01, 20.0, B) + 1j * 10.0 ** rng.uniform(-6, 0, B)
+    for k, z in enumerate((0.5, 1.2, 1.5)):
+        _, _, _, resid, ncand = txlaw.solve_master_batch(w[k::3], many_spec, z)
+        assert np.all(ncand == 1)
+        assert np.max(resid) <= 1e-12
+
+
+def test_empty_batch(fig2_spec):
+    for z in (0.0, 1.2):
+        assert all(v.size == 0 for v in txlaw.density_batch(np.array([]), fig2_spec, z))
+
+
+def test_residual_above_tolerance_raises(fig2_spec):
+    with pytest.raises(SolverError):
+        txlaw.solve_master_batch(np.array([2.0 + 0.5j]), fig2_spec, 1.5,
+                                 txlaw.SolverOptions(residual_tol=0.0))
+
+
+@st.composite
+def _spectra(draw):
+    n = draw(st.integers(1, 11))
+    s = draw(st.lists(st.floats(0.05, 8.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # a twin atom just outside the merge tolerance
+        s.append(s[0] * (1 + draw(st.sampled_from([2.0, 10.0, 1e3])) * MERGE_RTOL))
+    l = draw(st.lists(st.integers(1, 40), min_size=len(s), max_size=len(s)))
+    K = int(sum(l))
+    spec, _ = txlaw.normalize_spectrum(s, l, K, K)
+    return spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _spectra(),
+    st.floats(0.0, 2.0),
+    st.floats(0.01, 12.0),
+    st.floats(1e-3, 1.0),
+)
+def test_solve_master_batch_properties(spec, z, re_w, im_w):
+    assume(abs(z * z - 1) >= 0.05)
+    w = np.array([complex(re_w, im_w)])
+    try:
+        m, m1, m2, resid, ncand = txlaw.solve_master_batch(w, spec, z)
+        mc, _ = _continuation_solve(complex(w[0]), spec, z, txlaw.SolverOptions())
+    except TxlawError:
+        return
+    assert ncand[0] >= 1
+    assert m1[0].imag > 0 and (w[0] * m1[0]).imag > 0
+    assert np.array_equal(m2, txlaw.m2_from_m1(m1, w, z))
+    assert resid[0] <= 1e-12
+    assert abs(m[0] - mc) <= 1e-9 * max(1.0, abs(mc))
+
+
+# ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------
 
@@ -322,3 +398,39 @@ def test_domain_and_pole_errors(fig2_spec):
         txlaw.master_f(1.0, 1.0, one, 0.0)
     with pytest.raises(SolverError):
         txlaw.m2_from_m1(-1.0 + 0j, 2.0 + 0j, 0.0)
+
+
+def _mp_rho2(x, m0, spec, z, dps=40):
+    """rho2 at real x from an mpmath root of f started at m0, at dps digits."""
+    with mpmath.workdps(dps):
+        x, z2 = mpmath.mpf(x), mpmath.mpf(z) ** 2
+        u = mpmath.sqrt(x)
+        atoms = [(mpmath.mpf(si) * mpmath.mpf(wi), mpmath.mpf(si))
+                 for si, wi in zip(spec.s, spec.weights)]
+
+        def f(m):
+            return -u + m + sum(
+                c * m * (m * m - z2) / (u * m**3 - (si + z2) * m**2 - u * z2 * m + z2 * z2)
+                for c, si in atoms)
+
+        m = mpmath.findroot(f, mpmath.mpc(m0))
+        assert m.imag > 0 and abs(f(m)) < mpmath.mpf(10) ** (10 - dps)
+        q = m / u                                   # 1 + m1
+        return float((q / (z2 - x * q * q)).imag / mpmath.pi)
+
+
+@pytest.mark.parametrize("name", ["fig2_spec", "many_spec"])
+@pytest.mark.parametrize("z", [0.5, 1.2, 1.5])
+def test_rho2_near_edges_against_mpmath(name, z, request):
+    spec = request.getfixturevalue(name)
+    profile = txlaw.find_edges(spec, z)
+    x = np.array([
+        e.e * (1 + d if e.side == "lower" else 1 - d)
+        for e in profile.edges for d in (1e-5, 1e-3)
+    ])
+    _, rho2, _, _ = txlaw.density_batch(x, spec, z)
+    # mpmath starts off the axis, not at the real-axis root under test
+    m, _, _, _, _ = txlaw.solve_master_batch(x + 1e-3j * x, spec, z)
+    for xk, rk, mk in zip(x, rho2, m):
+        want = _mp_rho2(xk, mk, spec, z)
+        assert abs(rk - want) <= 1e-9 * want, (xk, rk, want)
