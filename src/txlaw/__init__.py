@@ -39,7 +39,6 @@ from .master import (
     m2_from_m1,
     master_f,
     master_f_all,
-    master_f_pfd,
     solve_master,
     solve_master_batch,
     sqrt_upper,

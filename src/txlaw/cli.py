@@ -51,8 +51,6 @@ def _add_common(p: argparse.ArgumentParser, need_sigma: bool = True):
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eta0", type=float, default=1e-7,
-                   help="ignored: densities are solved on the real axis")
     p.add_argument("--grid", type=int, default=2000, help="scan or table resolution")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--threads", type=int, default=2)
@@ -93,7 +91,7 @@ def _opts_from_args(args) -> SolverOptions:
     return SolverOptions(params=ModelParams(z_band_min=args.zband))
 
 
-def _manifest(args, outdir: Path, t0: float, extra: dict | None = None) -> None:
+def _manifest(args, outdir: Path, t0: float, extra: dict) -> None:
     payload = {
         "version": __version__,
         "command": args.command,
@@ -105,8 +103,7 @@ def _manifest(args, outdir: Path, t0: float, extra: dict | None = None) -> None:
     sigma = getattr(args, "sigma", None)
     if sigma and Path(sigma).exists():
         payload["sigma_sha256"] = hashlib.sha256(Path(sigma).read_bytes()).hexdigest()
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     (outdir / "manifest.json").write_text(json.dumps(payload, indent=2, default=str))
 
 
@@ -129,72 +126,57 @@ def _load_spec(args):
     return spec
 
 
-def cmd_density(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _z(args) -> float:
+    return args.z if args.z is not None else 0.0
+
+
+# Each command writes its outputs to outdir and may add entries to the
+# manifest, which main writes once the command returns.
+
+def cmd_density(args, outdir: Path, manifest: dict) -> int:
     spec = _load_spec(args)
     opts = _opts_from_args(args)
-    z = args.z if args.z is not None else 0.0
+    z = _z(args)
     profile = find_edges(spec, z, opts, FindEdgesOptions(scan_points=args.grid))
     table = tabulate_density(spec, z, resolution=args.grid, profile=profile, opts=opts)
     write_density_csv(table, outdir / "density.csv")
     (outdir / "bands.json").write_text(json.dumps(profile.to_dict(), indent=2))
-    _manifest(args, outdir, t0, {"total_mass": table.total_mass})
+    manifest["total_mass"] = table.total_mass
     return EXIT_OK
 
 
-def cmd_edges(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    spec = _load_spec(args)
-    opts = _opts_from_args(args)
-    z = args.z if args.z is not None else 0.0
-    profile = find_edges(spec, z, opts, FindEdgesOptions(scan_points=args.grid))
+def cmd_edges(args, outdir: Path, manifest: dict) -> int:
+    profile = find_edges(_load_spec(args), _z(args), _opts_from_args(args),
+                         FindEdgesOptions(scan_points=args.grid))
     (outdir / "edges.json").write_text(json.dumps(profile.to_dict(), indent=2))
-    _manifest(args, outdir, t0)
     return EXIT_OK
 
 
-def cmd_chi(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    spec = _load_spec(args)
-    opts = _opts_from_args(args)
+def cmd_chi(args, outdir: Path, manifest: dict) -> int:
     profile = compute_radial_profile(
-        spec, args.rmin, args.rmax, h=args.rstep, opts=opts
+        _load_spec(args), args.rmin, args.rmax, h=args.rstep, opts=_opts_from_args(args)
     )
     write_radial_csv(profile, outdir / "radial.csv")
-    _manifest(args, outdir, t0)
     return EXIT_OK
 
 
-def cmd_quantiles(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_quantiles(args, outdir: Path, manifest: dict) -> int:
     spec = _load_spec(args)
     opts = _opts_from_args(args)
-    z = args.z if args.z is not None else 0.0
+    z = _z(args)
     profile = find_edges(spec, z, opts, FindEdgesOptions(scan_points=args.grid))
     table = tabulate_density(spec, z, resolution=args.grid, profile=profile, opts=opts)
     qt = quantiles(table, spec.K)
     write_quantiles_csv(qt, outdir / "quantiles.csv")
-    _manifest(args, outdir, t0, {"total_mass": table.total_mass})
+    manifest["total_mass"] = table.total_mass
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(args, outdir: Path, manifest: dict) -> int:
     spec = _load_spec(args)
-    z = args.z if args.z is not None else 0.0
     cfg = EnsembleConfig(
         N=spec.N, M=spec.M, spec=spec, t_mode=args.tmode, x_dist=args.dist,
-        z_list=(complex(z),), runs=args.runs, seed=args.seed, threads=args.threads,
+        z_list=(complex(_z(args)),), runs=args.runs, seed=args.seed, threads=args.threads,
     )
     runs = run_ensemble(cfg)
     with open(outdir / "eigenvalues.csv", "w", encoding="utf-8") as fh:
@@ -217,39 +199,31 @@ def cmd_simulate(args) -> int:
         "elapsed": [r.elapsed for r in done],
     }
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2))
-    _manifest(args, outdir, t0)
     if failed:
         print(f"error: Monte Carlo runs {failed} failed; see summary.json", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
 
 
-def _write_checks(args, outdir: Path, t0: float, name: str, results: dict) -> int:
-    """Write check results and the manifest; print one PASS/FAIL line per check."""
+def _write_checks(outdir: Path, name: str, results: dict) -> int:
+    """Write check results; print one PASS/FAIL line per check."""
     (outdir / name).write_text(json.dumps(results, indent=2, default=float))
-    _manifest(args, outdir, t0)
     for check, v in results.items():
         print(f"[{'PASS' if v.get('passed') else 'FAIL'}] {check}", file=sys.stderr)
     return EXIT_OK if all(v.get("passed", False) for v in results.values()) else EXIT_DOMAIN
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args, outdir: Path, manifest: dict) -> int:
     from .verify_suites import run_suite
 
     results = run_suite(args.suite, _load_spec(args), _opts_from_args(args), args)
-    return _write_checks(args, outdir, t0, "verify.json", results)
+    return _write_checks(outdir, "verify.json", results)
 
 
-def cmd_selfcheck(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_selfcheck(args, outdir: Path, manifest: dict) -> int:
     from .verify_suites import run_selfcheck
 
-    return _write_checks(args, outdir, t0, "selfcheck.json", run_selfcheck())
+    return _write_checks(outdir, "selfcheck.json", run_selfcheck())
 
 
 def main(argv=None) -> int:
@@ -267,8 +241,14 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "selfcheck": cmd_selfcheck,
     }
+    t0 = time.time()
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    manifest: dict = {}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args, outdir, manifest)
+        _manifest(args, outdir, t0, manifest)
+        return code
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

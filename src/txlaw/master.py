@@ -84,8 +84,8 @@ class CubicFactorization:
 
     For real w > 0 and |z| > 0 each cubic
         p_i(m) = sqrt(w) m^3 - (s_i + |z|^2) m^2 - sqrt(w) |z|^2 m + |z|^4
-    has three distinct real roots. A, B, C are the pole coefficients of the
-    partial-fraction form of f; Ap, Bp, Cp the residues of (m^2 - |z|^2)/p_i.
+    has three distinct real roots. A, B, C are the residues of f at a, b and
+    -c divided by c_i = w_i s_i: f's arrowhead residues rho scaled per atom.
     """
 
     w: float
@@ -96,37 +96,48 @@ class CubicFactorization:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    Ap: np.ndarray
-    Bp: np.ndarray
-    Cp: np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # evaluators
 # ---------------------------------------------------------------------------
 
-def _atom_terms(spec: SigmaSpectrum):
+def _atom_cubics(w, m, spec: SigmaSpectrum, z_mod: float):
+    """The shape of f, u = sqrt(w), m as complex, and over a leading atom axis
+    c_i = w_i s_i, s_i + |z|^2 and the cubics
+    p_i(m) = u m^3 - (s_i + |z|^2) m^2 - u |z|^2 m + |z|^4.
+
+    u and m are at least 1-d, so every product runs in numpy's array loops:
+    its scalar arithmetic rounds complex products differently, and a scalar
+    call would then differ from the same point in a batch.
+    """
+    u = sqrt_upper(w)
+    m = np.asarray(m, dtype=complex)
+    z2 = z_mod * z_mod
+    shape = np.broadcast(u, m).shape
+    u, m = np.atleast_1d(u, m)
+    lead = (-1,) + (1,) * max(u.ndim, m.ndim)
     s = np.asarray(spec.s, dtype=float)
-    wts = spec.weights
-    return s, wts
+    c = (spec.weights * s).reshape(lead)
+    q = (s + z2).reshape(lead)
+    p = u * m**3 - q * m**2 - u * z2 * m + z2 * z2
+    if np.any(np.abs(p) < 1e-300):
+        raise SolverError("evaluation point is on a pole of the master function")
+    return shape, u, m, z2, c, q, p
+
+
+def _atom_sum(shape, acc, terms):
+    """acc plus the per-atom terms, added one atom at a time in atom order
+    (the order fixes the bits), in the shape of f."""
+    for t in terms:
+        acc = acc + t
+    return acc.reshape(shape)[()]
 
 
 def master_f(w, m, spec: SigmaSpectrum, z_mod: float):
     """f(sqrt(w), m); zero exactly at solutions of the reduced master equation."""
-    u = sqrt_upper(w)
-    z2 = z_mod * z_mod
-    s, wts = _atom_terms(spec)
-    f = -u + np.asarray(m, dtype=complex)
-    for si, wi in zip(s, wts):
-        p = u * m**3 - (si + z2) * m**2 - u * z2 * m + z2 * z2
-        _check_pole(p)
-        f = f + wi * si * m * (m * m - z2) / p
-    return f
-
-
-def _check_pole(p):
-    if np.any(np.abs(p) < 1e-300):
-        raise SolverError("evaluation point is on a pole of the master function")
+    shape, u, m, z2, c, _, p = _atom_cubics(w, m, spec, z_mod)
+    return _atom_sum(shape, -u + m, c * m * (m * m - z2) / p)
 
 
 def master_f_all(w, m, spec: SigmaSpectrum, z_mod: float):
@@ -135,35 +146,25 @@ def master_f_all(w, m, spec: SigmaSpectrum, z_mod: float):
     The derivative formulas follow from the quotient rule applied to each
     rational summand; they are exercised against finite differences in tests.
     """
-    u = sqrt_upper(w)
-    m = np.asarray(m, dtype=complex)
-    z2 = z_mod * z_mod
-    s, wts = _atom_terms(spec)
-    f = -u + m
-    fm = np.ones_like(m)
-    fmm = np.zeros_like(m)
-    fu = -np.ones_like(m)
-    fum = np.zeros_like(m)
-    for si, wi in zip(s, wts):
-        cw = wi * si
-        p = u * m**3 - (si + z2) * m**2 - u * z2 * m + z2 * z2
-        _check_pole(p)
-        pm = 3 * u * m**2 - 2 * (si + z2) * m - u * z2
-        pmm = 6 * u * m - 2 * (si + z2)
-        pu = m**3 - z2 * m
-        pum = 3 * m**2 - z2
-        num = m * (m * m - z2)
-        num_m = 3 * m * m - z2
-        num_mm = 6 * m
-        f = f + cw * num / p
-        fm = fm + cw * (num_m * p - num * pm) / (p * p)
-        fmm = fmm + cw * (
-            num_mm * p * p - num * p * pmm - 2 * num_m * p * pm + 2 * num * pm * pm
-        ) / (p * p * p)
-        fu = fu - cw * num * pu / (p * p)
-        fum = fum + cw * (
-            -(num_m * pu + num * pum) / (p * p) + 2 * num * pu * pm / (p * p * p)
-        )
+    shape, u, m, z2, c, q, p = _atom_cubics(w, m, spec, z_mod)
+    pm = 3 * u * m**2 - 2 * q * m - u * z2
+    pmm = 6 * u * m - 2 * q
+    pu = m**3 - z2 * m
+    pum = 3 * m**2 - z2
+    num = m * (m * m - z2)
+    num_m = 3 * m * m - z2
+    num_mm = 6 * m
+    p2 = p * p
+    p3 = p * p * p
+    f = _atom_sum(shape, -u + m, c * num / p)
+    fm = _atom_sum(shape, np.ones_like(m), c * (num_m * p - num * pm) / p2)
+    fmm = _atom_sum(shape, np.zeros_like(m), c * (
+        num_mm * p * p - num * p * pmm - 2 * num_m * p * pm + 2 * num * pm * pm
+    ) / p3)
+    fu = _atom_sum(shape, -np.ones_like(m), -(c * num * pu / p2))
+    fum = _atom_sum(shape, np.zeros_like(m), c * (
+        -(num_m * pu + num * pum) / p2 + 2 * num * pu * pm / p3
+    ))
     return f, fm, fmm, fu, fum
 
 
@@ -211,14 +212,16 @@ def _arrowhead(u: np.ndarray, spec: SigmaSpectrum, z_mod: float):
     With c_i = w_i s_i: alpha = u - sum_i c_i / u; pi are the roots of the
     per-atom cubics with residues rho = c_i pi (pi^2 - |z|^2) / p_i'(pi). At
     |z| = 0 the cubics degenerate to the poles s_i / u with residues
-    c_i s_i / u^2 (also where |z|^2 underflows, as in master_f).
+    c_i s_i / u^2. So they do to double precision wherever |z|^4 is below the
+    smallest normal double: the other two roots and their residues are
+    O(|z|^2), and the cubic's Newton steps would divide by subnormals.
     """
     s = np.asarray(spec.s, dtype=float)
     c = spec.weights * s
     z2 = z_mod * z_mod
     alpha = u - c.sum() / u
     uB = u[:, None]
-    if z2 == 0.0:
+    if z2 * z2 < np.finfo(float).tiny:
         return alpha, c * s / (uB * uB), s / uB
     pi = _cubic_roots(u, s, z2)
     uB = uB[..., None]
@@ -420,44 +423,22 @@ def cubic_factorize(w: float, spec: SigmaSpectrum, z_mod: float) -> CubicFactori
     """Roots and partial-fraction coefficients of every per-atom cubic.
 
     Requires real w > 0 and |z| > 0 (at |z| = 0 the cubic degenerates and the
-    rational form of f should be used directly).
+    rational form of f should be used directly), with |z|^4 a normal double.
+    Reads both from the arrowhead data of f at sqrt(w).
     """
     if not (np.isrealobj(w) or complex(w).imag == 0) or not float(np.real(w)) > 0:
         raise DomainError("cubic factorization needs real w > 0")
-    if z_mod <= 0:
-        raise DomainError("cubic factorization needs |z| > 0")
+    if z_mod <= 0 or (z_mod * z_mod) * (z_mod * z_mod) < np.finfo(float).tiny:
+        raise DomainError("cubic factorization needs |z| > 0 with |z|^4 a normal double")
     wr = float(np.real(w))
-    u = np.sqrt(wr)
-    z2 = z_mod * z_mod
-    r = np.sort(_cubic_roots(np.array([u]), np.asarray(spec.s, dtype=float), z2)[0], axis=1)
-    neg, b, a = r.T
+    _, rho, pi = _arrowhead(np.array([np.sqrt(wr)]), spec, z_mod)
+    pi, rho = pi.reshape(spec.n, 3), rho.reshape(spec.n, 3)
+    order = np.argsort(pi, axis=1)
+    neg, b, a = np.take_along_axis(pi, order, axis=1).T
     if not np.all((a > b) & (b > 0) & (0 > neg)):
         raise SolverError(f"cubic root ordering failed (w={wr}, |z|={z_mod})")
-    c = -neg
-    Ap = (a * a - z2) / (u * (a - b) * (a + c))
-    Bp = (b * b - z2) / (u * (b - a) * (b + c))
-    Cp = (z2 - c * c) / (u * (c + a) * (c + b))
-    return CubicFactorization(
-        w=wr, z_mod=z_mod, a=a, b=b, c=c,
-        A=Ap * a, B=Bp * b, C=Cp * c, Ap=Ap, Bp=Bp, Cp=Cp,
-    )
-
-
-def master_f_pfd(fac: CubicFactorization, m, spec: SigmaSpectrum):
-    """Partial-fraction form of f at real w; agrees with master_f off the poles."""
-    u = np.sqrt(fac.w)
-    wts = spec.weights
-    s = np.asarray(spec.s)
-    m = np.asarray(m, dtype=complex)
-    const = float(np.dot(wts * s, fac.Ap + fac.Bp - fac.Cp))
-    f = -u + m + const
-    for i in range(spec.n):
-        f = f + wts[i] * s[i] * (
-            fac.A[i] / (m - fac.a[i])
-            + fac.B[i] / (m - fac.b[i])
-            + fac.C[i] / (m + fac.c[i])
-        )
-    return f
+    C, B, A = np.take_along_axis(rho, order, axis=1).T / (spec.weights * np.asarray(spec.s))
+    return CubicFactorization(w=wr, z_mod=z_mod, a=a, b=b, c=-neg, A=A, B=B, C=C)
 
 
 # ---------------------------------------------------------------------------

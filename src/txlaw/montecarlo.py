@@ -107,6 +107,13 @@ def build_t(cfg: EnsembleConfig, rng: np.random.Generator) -> np.ndarray:
     return T
 
 
+def _draw(cfg: EnsembleConfig, run_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """T and X of one run, from the run's own stream."""
+    rng = _rng_for_run(cfg.seed, run_index)
+    T = build_t(cfg, rng)
+    return T, sample_entries(rng, (cfg.M, cfg.N), cfg.x_dist, cfg.K)
+
+
 def sample_run(cfg: EnsembleConfig, run_index: int) -> RunResult:
     """One ensemble draw: eigenvalues of T X and singular spectra of T X - z.
 
@@ -114,10 +121,8 @@ def sample_run(cfg: EnsembleConfig, run_index: int) -> RunResult:
     depend on scheduling or worker count.
     """
     t0 = time.perf_counter()
-    rng = _rng_for_run(cfg.seed, run_index)
     try:
-        T = build_t(cfg, rng)
-        X = sample_entries(rng, (cfg.M, cfg.N), cfg.x_dist, cfg.K)
+        T, X = _draw(cfg, run_index)
         P = T @ X
         eig = general_eigenvalues(P)
         singular: dict[complex, np.ndarray] = {}
@@ -287,9 +292,7 @@ def entrywise_law_check(
     Pi = deterministic_resolvent(d, z, w, sol.m1c, sol.m2c)
     out = []
     for k in range(cfg.runs):
-        rng = _rng_for_run(cfg.seed, k)
-        T = build_t(cfg, rng)
-        X = sample_entries(rng, (cfg.M, cfg.N), cfg.x_dist, cfg.K)
+        T, X = _draw(cfg, k)
         Y = T @ X - z * np.eye(N)
         G = _resolvent_2n(Y, w)
         D = G - Pi
@@ -390,9 +393,7 @@ def extreme_singular_stats(
     big_cap = (t_norm * (c0 + 1.0) + z_mod) ** 2
     det_viol = 0
     for r in runs:
-        rng = _rng_for_run(cfg.seed, r.run_index)
-        build_t(cfg, rng)
-        X = sample_entries(rng, (cfg.M, cfg.N), cfg.x_dist, cfg.K)
+        _, X = _draw(cfg, r.run_index)
         xn = operator_norm_estimate(X, iters=200, seed=r.run_index)
         if r.singular[key][-1] > (t_norm * xn + z_mod) ** 2 * (1 + 1e-9):
             det_viol += 1

@@ -115,19 +115,21 @@ class ModelParams:
             )
 
 
-def _group_close(values: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group a descending array into (distinct values, counts), merging within rtol."""
+def _merge_close(values, mult) -> tuple[list[float], list[int]]:
+    """Group descending positive values with multiplicities into (distinct
+    values, multiplicities): a value within MERGE_RTOL of its group's running
+    mean joins the group, whose value becomes the multiplicity-weighted mean."""
     vals: list[float] = []
     counts: list[int] = []
-    for v in values:
-        if vals and abs(vals[-1] - v) <= rtol * max(abs(vals[-1]), abs(v)):
+    for v, k in zip(values, mult):
+        if vals and abs(vals[-1] - v) <= MERGE_RTOL * abs(vals[-1]):
             n = counts[-1]
-            vals[-1] = (vals[-1] * n + v) / (n + 1)  # running mean of the group
-            counts[-1] = n + 1
+            vals[-1] = (vals[-1] * n + v * k) / (n + k)
+            counts[-1] = n + int(k)
         else:
             vals.append(float(v))
-            counts.append(1)
-    return np.asarray(vals), np.asarray(counts, dtype=int)
+            counts.append(int(k))
+    return vals, counts
 
 
 def sigma_from_singular_values(
@@ -146,7 +148,7 @@ def sigma_from_singular_values(
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise InputError("singular values must be positive and finite")
     eig = np.sort(d * d)[::-1]
-    s, l = _group_close(eig, MERGE_RTOL)
+    s, l = map(np.asarray, _merge_close(eig, np.ones(eig.size, dtype=int)))
     mean = float(np.dot(l, s)) / min(N, M)
     if auto_normalize:
         s = s / mean
@@ -175,16 +177,7 @@ def normalize_spectrum(s, l, N: int, M: int) -> tuple[SigmaSpectrum, float]:
     ratio = 1.0 / mean
     scaled = s * ratio
     order = np.argsort(scaled)[::-1]
-    merged_s: list[float] = []
-    merged_l: list[int] = []
-    for v, li in zip(scaled[order], l[order]):
-        if merged_s and abs(merged_s[-1] - v) <= MERGE_RTOL * abs(merged_s[-1]):
-            w0 = merged_l[-1]
-            merged_s[-1] = (merged_s[-1] * w0 + v * li) / (w0 + li)
-            merged_l[-1] = w0 + int(li)
-        else:
-            merged_s.append(float(v))
-            merged_l.append(int(li))
+    merged_s, merged_l = _merge_close(scaled[order], l[order])
     return (
         SigmaSpectrum(s=tuple(merged_s), l=tuple(merged_l), N=N, M=M),
         ratio,

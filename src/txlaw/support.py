@@ -11,7 +11,7 @@ scale t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -496,7 +496,6 @@ def _find_edges_once(
         raise BracketingError("band assembly failed; grid too coarse")
 
     # refine nonzero edges
-    all_nonzero = [x for x, _ in edges_asc]
     refined_edges: list[EdgeInfo] = []
     for x, side in edges_asc:
         out_sign = -1.0 if side == "lower" else 1.0
@@ -527,25 +526,29 @@ def _find_edges_once(
             pole_distance = float(
                 np.min(np.abs(m_fin - np.asarray(spec.s) / np.sqrt(e_fin)))
             )
-        others = [y for y in all_nonzero if abs(y - x) > 1e-12] + (
-            [0.0] if touches_zero else []
-        )
-        gap = min((abs(e_fin - y) for y in others), default=np.inf)
         refined_edges.append(
             EdgeInfo(
                 e=e_fin,
                 m_c=m_fin,
                 d2f=d2f,
                 pole_distance=pole_distance,
-                neighbor_gap=float(gap),
+                neighbor_gap=np.inf,
                 side=side,
                 refined=refined,
             )
         )
 
-    # rebuild bands with refined endpoints
+    # rebuild bands with refined endpoints; each edge's gap is to the nearest
+    # other refined edge, or to 0 where the lowest band reaches it
+    zero = [0.0] if touches_zero else []
     ref_pos = [ed.e for ed in refined_edges]
-    band_edges = ([0.0] if touches_zero else []) + ref_pos
+    band_edges = zero + ref_pos
+    refined_edges = [
+        replace(ed, neighbor_gap=float(min(
+            (abs(ed.e - y) for y in zero + ref_pos[:k] + ref_pos[k + 1:]), default=np.inf
+        )))
+        for k, ed in enumerate(refined_edges)
+    ]
     bands_asc = [
         (band_edges[i], band_edges[i + 1]) for i in range(0, len(band_edges), 2)
     ]

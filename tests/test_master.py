@@ -49,7 +49,7 @@ def test_f_zero_at_solution_and_large_off_solution(fig2_spec):
     assert abs(complex(txlaw.master_f(10 + 0.01j, sol.m_c + 0.1, fig2_spec, 1.5))) > 1e-3
 
 
-def test_derivatives_match_finite_differences(fig2_spec):
+def _check_derivatives_by_finite_differences(spec):
     rng = np.random.default_rng(2)
     h = 1e-6
     checked = 0
@@ -57,17 +57,46 @@ def test_derivatives_match_finite_differences(fig2_spec):
         w = complex(rng.uniform(0.3, 8), rng.uniform(0.2, 2))
         m = complex(rng.uniform(-3, 3), rng.uniform(0.2, 2))
         z = rng.uniform(0.0, 2.0)
-        f, fm, fmm, fu, fum = txlaw.master_f_all(w, m, fig2_spec, z)
+        f, fm, fmm, fu, fum = txlaw.master_f_all(w, m, spec, z)
         if min(abs(complex(fm)), abs(complex(fu))) < 1e-3:
             continue
-        fp = complex(txlaw.master_f(w, m + h, fig2_spec, z))
-        fmn = complex(txlaw.master_f(w, m - h, fig2_spec, z))
+        fp = complex(txlaw.master_f(w, m + h, spec, z))
+        fmn = complex(txlaw.master_f(w, m - h, spec, z))
         assert (fp - fmn) / (2 * h) == pytest.approx(complex(fm), rel=1e-5)
         u = complex(txlaw.sqrt_upper(w))
-        fpu = complex(txlaw.master_f((u + h) ** 2, m, fig2_spec, z))
-        fmu = complex(txlaw.master_f((u - h) ** 2, m, fig2_spec, z))
+        fpu = complex(txlaw.master_f((u + h) ** 2, m, spec, z))
+        fmu = complex(txlaw.master_f((u - h) ** 2, m, spec, z))
         assert (fpu - fmu) / (2 * h) == pytest.approx(complex(fu), rel=1e-5)
         checked += 1
+
+
+def test_derivatives_match_finite_differences(fig2_spec):
+    _check_derivatives_by_finite_differences(fig2_spec)
+
+
+def test_derivatives_match_finite_differences_many_atoms(many_spec):
+    _check_derivatives_by_finite_differences(many_spec)
+
+
+def test_evaluators_broadcast_like_scalar_calls(many_spec):
+    # w of shape (B, 1) against m of shape (B, k), as in the multi-root path
+    # of solve_master_batch: every entry equals its scalar call bit for bit
+    rng = np.random.default_rng(12)
+    B, k = 7, 4
+    w = (rng.uniform(0.1, 10, B) + 1j * rng.uniform(0, 1, B))[:, None]
+    m = rng.standard_normal((B, k)) + 1j * rng.standard_normal((B, k))
+    for z in (0.0, 0.5, 1.5):
+        f = txlaw.master_f(w, m, many_spec, z)
+        out = txlaw.master_f_all(w, m, many_spec, z)
+        assert f.shape == (B, k) and all(v.shape == (B, k) for v in out)
+        for i in range(B):
+            for j in range(k):
+                wij, mij = complex(w[i, 0]), complex(m[i, j])
+                assert complex(txlaw.master_f(wij, mij, many_spec, z)) == f[i, j]
+                one = txlaw.master_f_all(wij, mij, many_spec, z)
+                assert all(complex(a) == b[i, j] for a, b in zip(one, out))
+        assert txlaw.master_f(w[:0], m[:0], many_spec, z).shape == (0, k)
+        assert all(v.shape == (0, k) for v in txlaw.master_f_all(w[:0], m[:0], many_spec, z))
 
 
 def test_m2_from_m1_direct_arithmetic():
@@ -179,26 +208,42 @@ def test_cubic_bounds_random_sweep():
         assert np.all((fac.C > 0) & (fac.C <= cap + 1e-12))
 
 
-def test_partial_fraction_identity(fig2_spec):
+def _check_partial_fraction_identity(spec):
+    # f = m - alpha + sum_k rho_k / (m - pi_k) with the arrowhead data, and the
+    # factorization's A, B, C are those residues divided by c_i = w_i s_i
+    c = spec.weights * np.asarray(spec.s)
     rng = np.random.default_rng(7)
     for w, z in ((4.0, 1.5), (0.3, 0.5), (9.0, 0.75)):
-        fac = txlaw.cubic_factorize(w, fig2_spec, z)
-        poles = np.concatenate([fac.a, fac.b, -fac.c])
+        alpha, rho, poles = (v[0] for v in _arrowhead(np.array([np.sqrt(w)]), spec, z))
+        fac = txlaw.cubic_factorize(w, spec, z)
         checked = 0
         while checked < 50:
             m = rng.uniform(-5, 8)
             if np.min(np.abs(m - poles)) < 1e-3:
                 continue
-            direct = complex(txlaw.master_f(w, m, fig2_spec, z))
-            pfd = complex(txlaw.master_f_pfd(fac, m, fig2_spec))
+            direct = complex(txlaw.master_f(w, m, spec, z))
+            pfd = m - alpha + np.sum(rho / (m - poles))
+            fac_pfd = m - alpha + np.sum(
+                c * (fac.A / (m - fac.a) + fac.B / (m - fac.b) + fac.C / (m + fac.c)))
             assert pfd == pytest.approx(direct, rel=1e-10, abs=1e-12)
+            assert fac_pfd == pytest.approx(direct, rel=1e-10, abs=1e-12)
             checked += 1
+
+
+def test_partial_fraction_identity(fig2_spec):
+    _check_partial_fraction_identity(fig2_spec)
+
+
+def test_partial_fraction_identity_many_atoms(many_spec):
+    _check_partial_fraction_identity(many_spec)
 
 
 def test_cubic_rejects_degenerate():
     spec = txlaw.SigmaSpectrum(s=(1.0,), l=(10,), N=10, M=10)
     with pytest.raises(DomainError):
         txlaw.cubic_factorize(10.0, spec, 0.0)
+    with pytest.raises(DomainError):
+        txlaw.cubic_factorize(10.0, spec, 1e-100)     # |z|^4 underflows
     with pytest.raises(DomainError):
         txlaw.cubic_factorize(-1.0, spec, 1.0)
 
@@ -275,6 +320,19 @@ def test_residual_above_tolerance_raises(fig2_spec):
     with pytest.raises(SolverError):
         txlaw.solve_master_batch(np.array([2.0 + 0.5j]), fig2_spec, 1.5,
                                  txlaw.SolverOptions(residual_tol=0.0))
+
+
+def test_tiny_z_takes_the_degenerate_poles():
+    # |z|^4 below the smallest normal double: the cubics' small roots would
+    # need Newton steps on subnormals (a falsifying example of the property
+    # test below returned NaN residues there)
+    one = txlaw.SigmaSpectrum(s=(1.0,), l=(1,), N=1, M=1)
+    w = np.array([1.0 + 1.0j])
+    want, _, _, _, _ = txlaw.solve_master_batch(w, one, 0.0)
+    for z in (1.103393059321541e-156, 1e-80, 1e-70):
+        m, _, _, resid, ncand = txlaw.solve_master_batch(w, one, z)
+        assert ncand[0] == 1 and resid[0] <= 1e-12
+        assert abs(m[0] - want[0]) <= 1e-15
 
 
 @st.composite

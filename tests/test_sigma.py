@@ -37,6 +37,31 @@ def test_normalize_merges_equal_atoms():
     assert ratio == pytest.approx(0.5)
 
 
+def test_singular_values_group_like_normalize_spectrum():
+    # near-duplicate singular values: one tight group, one spread across the
+    # merge tolerance, twins just outside it
+    rng = np.random.default_rng(13)
+    d = np.concatenate([
+        1.3 * (1 + rng.uniform(-2e-11, 2e-11, 20)),
+        0.9 * (1 + rng.uniform(-1e-10, 1e-10, 20)),
+        0.5 * (1 + np.arange(20) % 2 * 3e-10),
+    ])
+    K = d.size
+    # step the first value by ulps until the squares' mean is exactly 1, so
+    # that normalize_spectrum's rescaling is the identity
+    d = d / np.sqrt(np.mean(d * d))
+    for _ in range(1000):
+        mean = float(np.dot(np.ones(K, dtype=int), d * d)) / K
+        if mean == 1.0:
+            break
+        d[0] = np.nextafter(d[0], -np.inf if mean > 1.0 else np.inf)
+    spec = txlaw.sigma_from_singular_values(d, K, K)
+    want, ratio = txlaw.normalize_spectrum(d**2, np.ones(K, dtype=int), K, K)
+    assert ratio == 1.0
+    assert 3 < spec.n < K
+    assert spec.s == want.s and spec.l == want.l
+
+
 def test_normalize_two_atoms():
     spec, _ = txlaw.normalize_spectrum([1.0, 4.0], [32, 32], 64, 64)
     assert spec.s == pytest.approx((8 / 5, 2 / 5))

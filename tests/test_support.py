@@ -157,6 +157,19 @@ def test_fig2_edges_regular(fig2_spec):
     assert rep.regular
 
 
+@pytest.mark.parametrize("z", [0.5, 1.2, 1.5])
+def test_neighbor_gap_to_refined_edges(fig2_spec, z):
+    prof = txlaw.find_edges(fig2_spec, z)
+    for ed in prof.edges:
+        others = [o.e for o in prof.edges if o is not ed]
+        others += [0.0] if prof.zero_edge is not None else []
+        assert ed.neighbor_gap == min(abs(ed.e - y) for y in others)
+    if z == 1.2:
+        # one band: both of its edges measure the same pair
+        lo, hi = prof.edges
+        assert lo.neighbor_gap == hi.neighbor_gap == abs(hi.e - lo.e)
+
+
 def test_near_merged_edges_flagged(twoband_spec):
     # shrink the atom gap until the interior band gap nearly closes
     lo_ratio, hi_ratio = 1.0, 8.0 / 0.2
