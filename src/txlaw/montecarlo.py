@@ -117,23 +117,26 @@ def _draw(cfg: EnsembleConfig, run_index: int) -> tuple[np.ndarray, np.ndarray]:
 def sample_run(cfg: EnsembleConfig, run_index: int) -> RunResult:
     """One ensemble draw: eigenvalues of T X and singular spectra of T X - z.
 
+    Both come from one K x K product P. For N <= M it is T X itself. For
+    N > M, T X has rank M: its nonzero eigenvalues are those of the M x M
+    X T, so P = T^T X^T (the transpose of X T, with the same Sigma spectrum
+    and entry variance), and the other N - M eigenvalues are exact zeros.
+    The singular spectra are those of P - z.
+
     The per-run RNG is derived from (seed, run_index), so results do not
     depend on scheduling or worker count.
     """
     t0 = time.perf_counter()
     try:
         T, X = _draw(cfg, run_index)
-        P = T @ X
+        P = T @ X if cfg.N <= cfg.M else T.T @ X.T
         eig = general_eigenvalues(P)
+        if cfg.N > cfg.M:
+            eig = np.sort_complex(np.concatenate([eig, np.zeros(cfg.N - cfg.M)]))
         singular: dict[complex, np.ndarray] = {}
         for z in cfg.z_list:
             zy = z.real if z.imag == 0 else z      # a real z keeps Y and Y^dag Y real
-            if cfg.N <= cfg.M:
-                Y = P - zy * np.eye(cfg.N)
-            else:
-                # the nontrivial spectrum of T X - z is that of the M x M
-                # T^T X^T - z, with the same Sigma spectrum and entry variance
-                Y = T.T @ X.T - zy * np.eye(cfg.M)
+            Y = P - zy * np.eye(cfg.K)
             lam = symmetric_eigvals(Y.conj().T @ Y)
             singular[z] = np.maximum(lam, 0.0)   # clip eigensolver noise at 0
     except np.linalg.LinAlgError as exc:

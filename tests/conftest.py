@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import optimize
 
 import txlaw
+
+# every @given test draws the same examples on every run, and none are replayed
+# from a .hypothesis/ directory (derandomize implies database=None)
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -126,6 +126,24 @@ def test_simulate_command(tmp_path, fig2_file):
     assert len(eig) == 1 + 2 * 200
 
 
+def test_simulate_tall_reruns_byte_identical(tmp_path):
+    # N = 2M: N eigenvalues per run, N - M of them trivial zeros, M singular values
+    cfg = tmp_path / "tall.cfg"
+    cfg.write_text("N = 40\nM = 20\ns = [1.8823529411764706, 0.11764705882352941]\n"
+                   "l = [10, 10]\n")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        rc = main(["simulate", "--sigma", str(cfg), "--z", "0.5", "--runs", "2",
+                   "--seed", "4", "--tmode", "haar", "--dist", "skewed", "--out", str(out)])
+        assert rc == 0
+    summary = json.loads((outs[0] / "summary.json").read_text())
+    assert summary["trivial_zero_counts"] == [20, 20]
+    for name, per_run in (("eigenvalues.csv", 40), ("singular.csv", 20)):
+        rows = (outs[0] / name).read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [0] * per_run + [1] * per_run
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_simulate_reports_failed_run(tmp_path, fig2_file, monkeypatch, capsys):
     from txlaw import montecarlo
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import ks_2samp
 
 import txlaw
@@ -110,6 +111,52 @@ def test_trivial_zero_count_tall():
         assert r.eigenvalues.size == 6
         assert r.singular[0.5 + 0j].size == 4          # reduced square problem
         assert np.all(r.singular[0.5 + 0j] >= 0)
+
+
+@pytest.mark.parametrize("t_mode, x_dist", [("haar", "skewed"), ("diagonal", "gauss")])
+def test_eigenvalues_from_reduced_product(t_mode, x_dist):
+    # for N > M the eigenvalues come from the M x M reduced product plus N - M
+    # exact zeros, checked against the full N x N solve of the same draw; for
+    # N <= M they are those of T X itself, bit for bit
+    N, M = 40, 20
+    spec = txlaw.SigmaSpectrum(s=(32 / 17, 2 / 17), l=(10, 10), N=N, M=M)
+    cfg = small_cfg(spec, runs=1, t_mode=t_mode, x_dist=x_dist, seed=71)
+    eig = txlaw.sample_run(cfg, 0).eigenvalues
+    assert eig.size == N
+    assert np.sum(eig == 0) == N - M
+    assert np.array_equal(eig, np.sort_complex(eig))
+    T, X = montecarlo._draw(cfg, 0)
+    full = np.linalg.eigvals(T @ X)
+    full = full[np.argsort(np.abs(full))]
+    assert np.all(np.abs(full[:N - M]) <= montecarlo.ZERO_EIG_TOL)
+    nonzero = eig[eig != 0]
+    rows, cols = linear_sum_assignment(np.abs(nonzero[:, None] - full[None, N - M:]))
+    assert np.max(np.abs(nonzero[rows] - full[N - M:][cols])) <= 1e-10
+    for N, M in ((20, 20), (20, 40)):
+        spec = txlaw.SigmaSpectrum(s=(32 / 17, 2 / 17), l=(10, 10), N=N, M=M)
+        cfg = small_cfg(spec, runs=1, t_mode=t_mode, x_dist=x_dist, seed=71)
+        T, X = montecarlo._draw(cfg, 0)
+        assert np.array_equal(txlaw.sample_run(cfg, 0).eigenvalues,
+                              linalg.general_eigenvalues(T @ X))
+
+
+@pytest.mark.parametrize("N, M, z", [(1200, 600, 0.5), (600, 1200, 1.5)])
+def test_rectangular_law(N, M, z):
+    # criterion 7's tolerances on M/N = 1/2 and 2, Haar T, skewed entries
+    K = min(N, M)
+    spec = txlaw.SigmaSpectrum(s=(32 / 17, 2 / 17), l=(K // 2, K // 2), N=N, M=M)
+    cfg = small_cfg(spec, t_mode="haar", x_dist="skewed", z_list=(complex(z),), seed=83)
+    runs = txlaw.run_ensemble(cfg)
+    table = txlaw.tabulate_density(spec, z)
+    xs = np.linspace(table.bands[0][0], table.bands[-1][1], 800)
+    cdf = table.cdf2(xs)
+    for r in runs:
+        assert txlaw.count_trivial_zeros(r) == N - K
+        lam = np.sort(r.singular[complex(z)])
+        assert np.max(np.abs(np.searchsorted(lam, xs, side="right") / K - cdf)) <= 0.02
+    profile = txlaw.compute_radial_profile(spec, 0.1, 2.0, h=0.005)
+    radial = txlaw.radial_esd_cdf(cfg, profile, runs=runs)
+    assert max(radial["sup_dev"]) <= 0.04
 
 
 def test_entry_moments_5_sigma():
