@@ -34,7 +34,6 @@ from .master import (
     SpectralParameter,
     build_master_polynomial,
     cubic_factorize,
-    density_at,
     density_batch,
     m2_from_m1,
     master_f,

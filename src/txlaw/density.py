@@ -119,7 +119,7 @@ class _PiecewiseCdf:
 
         Newton on the segment polynomial, whose derivative is the series of
         rho2 dx/dtheta, safeguarded by bisection on the bracket [t0, t1]. A
-        point stops when its step falls below the brentq tolerance
+        point stops when its step falls below the tolerance
         1e-15 + 8.9e-16 |theta|, or its residual reaches rounding level.
         """
         a, b = self.t0[k].copy(), self.t1[k].copy()

@@ -475,17 +475,6 @@ def density_batch(
     return rho1, rho2, err1, err2
 
 
-def density_at(
-    x: float,
-    z_mod: float,
-    spec: SigmaSpectrum,
-    opts: SolverOptions | None = None,
-):
-    """(rho1, rho2, rho1_err, rho2_err) at a single x > 0."""
-    r1, r2, e1, e2 = density_batch(np.array([float(x)]), spec, z_mod, opts)
-    return float(r1[0]), float(r2[0]), float(e1[0]), float(e2[0])
-
-
 def verify_stieltjes(
     table,
     w_samples,

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketingError, DomainError, SolverError
+from .linalg import symmetric_eigvals
 from .master import (
     SolverOptions,
     cubic_factorize,
@@ -300,7 +300,7 @@ def support_indicator(
         raise DomainError("support_indicator needs E > 0")
     inside = bool(_inside(np.array([E]), spec, z_mod, opts)[0])
     if diagnostics and z_mod > 0:
-        cv = not support_indicator_by_critical_values(E, spec, z_mod)
+        cv = support_indicator_by_critical_values(E, spec, z_mod)
         if cv != inside:
             import warnings
 
@@ -315,32 +315,32 @@ def support_indicator(
 def zero_edge_scale(spec: SigmaSpectrum, z_mod: float, tau: float = 0.05) -> float:
     """Scale t of the x^(-1/2) density divergence at the zero edge (|z|^2 <= 1 - tau).
 
-    t is the unique positive root of
-        (1/K) sum_i l_i (t + |z|^2 - s_i) / ((s_i + |z|^2) t + |z|^4) = 0,
-    found by bracketed root finding; the target function is strictly
-    increasing in t so the root is unique. As |z| -> 0, t tends to the
-    harmonic mean of the spectrum.
+    t is the positive root of
+        G(t) = sum_i w_i (t + |z|^2 - s_i) / ((s_i + |z|^2) t + |z|^4),
+    w_i = l_i / K. With b_i = s_i + |z|^2, G is the secular function
+        G(t) = alpha - sum_i rho_i / (t - pi_i),
+    alpha = sum_i w_i / b_i, rho_i = w_i s_i^2 / b_i^2, pi_i = -|z|^4 / b_i < 0,
+    increasing on (max pi, inf) from -inf to alpha. Its root there is the
+    largest eigenvalue of diag(pi) + u u^T with u = sqrt(rho / alpha) (Golub,
+    SIAM Rev. 15, 1973), polished by one Newton step on G. A spectrum with
+    mean below |z|^2 can put that root at t <= 0, which raises SolverError.
+    As |z| -> 0, t tends to the harmonic mean of the spectrum.
     """
     if z_mod < 0 or z_mod * z_mod > 1 - tau:
         raise DomainError("zero edge requires |z|^2 <= 1 - tau")
     if z_mod == 0.0:
         return sigma_harmonic_mean(spec)
     s = np.asarray(spec.s)
-    wts = spec.weights
     z2 = z_mod * z_mod
-
-    def G(t):
-        return float(np.dot(wts, (t + z2 - s) / ((s + z2) * t + z2 * z2)))
-
-    lo = 1e-14
-    hi = 4.0 * max(1.0, float(s.max()))
-    while G(hi) <= 0:
-        hi *= 2
-        if hi > 1e8:
-            raise SolverError("zero-edge bracket expansion failed")
-    if G(lo) >= 0:
-        raise SolverError("zero-edge bracket collapsed (|z| too close to 1?)")
-    t = brentq(G, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    b = s + z2
+    alpha = float(np.dot(spec.weights, 1 / b))
+    rho = spec.weights * s * s / (b * b)
+    pi = -z2 * z2 / b
+    u = np.sqrt(rho / alpha)
+    t = symmetric_eigvals(np.diag(pi) + np.outer(u, u))[-1]
+    t -= (alpha - np.sum(rho / (t - pi))) / np.sum(rho / (t - pi) ** 2)
+    if not t > 0:
+        raise SolverError(f"zero-edge scale t = {t:.3e} <= 0 (spectrum mean below |z|^2?)")
     return float(t)
 
 

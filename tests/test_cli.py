@@ -1,12 +1,15 @@
 """CLI: subcommands, file formats, manifests, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import txlaw
 from txlaw.cli import main
 
 FIG2_CFG = """\
@@ -209,3 +212,25 @@ def test_console_entry_point(tmp_path, fig2_file):
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_commands_run_without_scipy(tmp_path, fig2_file):
+    # the test process has scipy loaded already, so the check needs a fresh one;
+    # |z| = 0.5 takes the zero-edge path
+    src = str(Path(txlaw.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from txlaw import cli\n"
+        "for cmd in ('edges', 'density'):\n"
+        f"    rc = cli.main([cmd, '--sigma', {str(fig2_file)!r}, '--z', '0.5',\n"
+        f"                  '--out', {str(tmp_path / 'out')!r} + cmd])\n"
+        "    assert rc == 0, (cmd, rc)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    edges = json.loads((tmp_path / "outedges" / "edges.json").read_text())
+    assert edges["zero_edge"]["t"] > 0

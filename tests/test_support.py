@@ -1,10 +1,14 @@
 """Support bands, edges, critical points, regularity and the zero-edge scale."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
 import txlaw
-from txlaw.errors import DomainError
+from txlaw import support
+from txlaw.errors import DomainError, SolverError
 from conftest import dyson_gap_edge
 
 
@@ -27,6 +31,26 @@ def bisect_g_oracle(spec, z, lo=-64.0, hi=0.0, iters=200):
         else:
             b = mid
     return -0.5 * (a + b)
+
+
+def mp_zero_edge_root(spec, z, dps=40):
+    """Root t > 0 of the zero-edge equation G by bisection in dps-digit arithmetic."""
+    with mpmath.workdps(dps):
+        z2 = mpmath.mpf(z) ** 2
+        terms = [(mpmath.mpf(float(w)), mpmath.mpf(float(si)))
+                 for w, si in zip(spec.weights, spec.s)]
+
+        def G(t):
+            return mpmath.fsum(w * (t + z2 - si) / ((si + z2) * t + z2 * z2)
+                               for w, si in terms)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while G(hi) <= 0:
+            hi *= 2
+        while hi - lo > hi * mpmath.mpf(10) ** (-dps + 5):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if G(mid) < 0 else (lo, mid)
+        return float((lo + hi) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +93,26 @@ def test_indicator_agreement(fig2_spec):
         from txlaw.support import support_indicator_by_critical_values
 
         assert by_density == support_indicator_by_critical_values(E, fig2_spec, z)
+
+
+CROSS_CHECK_POINTS = ((4.0, 1.5), (0.001, 1.5), (30.0, 0.5), (1.0, 0.5), (2.0, 0.5))
+
+
+def test_support_cross_check_silent_when_tests_agree(fig2_spec):
+    for E, z in CROSS_CHECK_POINTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = txlaw.support_indicator(E, fig2_spec, z, diagnostics=True)
+        assert inside == support.support_indicator_by_critical_values(E, fig2_spec, z)
+
+
+def test_support_cross_check_warns_on_disagreement(fig2_spec, monkeypatch):
+    real = support.support_indicator_by_critical_values
+    monkeypatch.setattr(support, "support_indicator_by_critical_values",
+                        lambda E, spec, z: not real(E, spec, z))
+    for E, z in CROSS_CHECK_POINTS:
+        with pytest.warns(UserWarning, match="support tests disagree"):
+            txlaw.support_indicator(E, fig2_spec, z, diagnostics=True)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +284,26 @@ def test_zero_edge_limit_and_expansion(fig2_spec):
     for z in (0.02, 0.05):
         t = txlaw.zero_edge_scale(fig2_spec, z)
         assert t == pytest.approx(t0 + coef * z * z, abs=5 * z**4 + 1e-12)
+
+
+def test_zero_edge_scale_against_mpmath(fig2_spec, many_spec):
+    rng = np.random.default_rng(2024)
+    specs = [fig2_spec, many_spec]
+    for n in (20, 40):
+        raw = np.sort(rng.uniform(0.05, 6.0, n))[::-1]
+        specs.append(txlaw.normalize_spectrum(raw, [10] * n, 10 * n, 10 * n)[0])
+    for spec in specs:
+        for z in (0.001, 0.01, 0.5, 0.95):
+            t = txlaw.zero_edge_scale(spec, z)
+            t_mp = mp_zero_edge_root(spec, z)
+            assert abs(t - t_mp) <= 1e-14 * t_mp, (spec.n, z, t, t_mp)
+
+
+def test_zero_edge_scale_nonpositive_root():
+    # mean 0.5 < |z|^2 = 0.81 puts the root of G at t < 0
+    spec = txlaw.SigmaSpectrum(s=(0.5,), l=(100,), N=100, M=100)
+    with pytest.raises(SolverError):
+        txlaw.zero_edge_scale(spec, 0.9)
 
 
 def test_zero_edge_scale_domain(fig2_spec):
