@@ -3,7 +3,7 @@
     python scripts/bench_pairs.py --label law-many-atoms --parent HEAD \
         --workload law-many-atoms:10:9101 --workload law-fig2:3:9201 \
         --workload ensemble:3:9301 --trace law-many-atoms:9901 \
-        --select linalg.companion_roots_batch.s,master.self_s --tier1 \
+        --select master.solve_master_batch.self_s,master.self_s --tier1 \
         --change "what the change does" --claim "what it claims"
 
 Run from the repository root. The parent commit is exported with

@@ -31,8 +31,6 @@ from .master import (
     CubicFactorization,
     MasterSolution,
     SolverOptions,
-    SpectralParameter,
-    build_master_polynomial,
     cubic_factorize,
     density_batch,
     m2_from_m1,
@@ -71,9 +69,9 @@ from .density import (
     write_radial_csv,
 )
 from .linalg import (
+    arrowhead_derivative_eigvals,
     arrowhead_eigvals,
     companion_roots,
-    companion_roots_batch,
     general_eigenvalues,
     operator_norm_estimate,
     qr_haar,
@@ -82,7 +80,6 @@ from .linalg import (
 )
 from .montecarlo import (
     EnsembleConfig,
-    LawStatistics,
     RunResult,
     averaged_law_profile,
     bump,

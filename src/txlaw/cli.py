@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("selfcheck", "fast internal consistency checks"),
     ):
         p = sub.add_parser(name, help=help_)
-        _add_common(p, need_sigma=(name not in ("selfcheck",)))
+        _add_common(p, need_sigma=(name not in ("verify", "selfcheck")))
         if name == "chi":
             p.add_argument("--rmin", type=float, default=0.1)
             p.add_argument("--rmax", type=float, default=2.0)
@@ -216,7 +216,7 @@ def _write_checks(outdir: Path, name: str, results: dict) -> int:
 def cmd_verify(args, outdir: Path, manifest: dict) -> int:
     from .verify_suites import run_suite
 
-    results = run_suite(args.suite, _load_spec(args), _opts_from_args(args), args)
+    results = run_suite(args.suite, _opts_from_args(args), args)
     return _write_checks(outdir, "verify.json", results)
 
 

@@ -194,18 +194,6 @@ class DensityTable:
             err += scale * float(np.sum(np.abs(seg.leg2[-2:])))
         return err
 
-    def eval_rho2(self, x) -> np.ndarray:
-        """Interpolated rho2; exactly zero off the support bands."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        order = np.argsort(self.x)
-        xs, rs = self.x[order], self.rho2[order]
-        for lo, hi in self.bands:
-            mask = (x >= lo) & (x <= hi)
-            if np.any(mask):
-                out[mask] = np.interp(x[mask], xs, rs)
-        return out
-
     def cdf2(self, x):
         """Mass of rho2 on (0, x], elementwise over an array of x."""
         c = self.cdf

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import InputError
 
 
 def _require_symmetric(A, name: str) -> np.ndarray:
@@ -54,37 +54,24 @@ def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, s, Vh
 
 
-def general_eigenvalues(A: np.ndarray, validate: bool = False) -> np.ndarray:
+def general_eigenvalues(A: np.ndarray) -> np.ndarray:
     """All complex eigenvalues of a square matrix, sorted by (real, imag).
 
-    For real input, complex eigenvalues come in exact conjugate pairs. With
-    validate=True (intended for n <= 8) the characteristic-polynomial
-    residual is checked at every eigenvalue.
+    For real input, complex eigenvalues come in exact conjugate pairs.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("general_eigenvalues needs a square matrix")
     ev = np.linalg.eigvals(A)
-    order = np.lexsort((ev.imag, ev.real))
-    ev = ev[order]
-    if validate:
-        n = A.shape[0]
-        if n > 12:
-            raise InputError("characteristic-polynomial validation is for small n")
-        coeffs = np.poly(A)
-        scale = np.max(np.abs(coeffs))
-        res = np.max(np.abs(np.polyval(coeffs, ev))) / scale
-        if res > 1e-6:
-            raise SolverError(f"eigenvalue residual {res:.2e} too large")
-    return ev
+    return ev[np.lexsort((ev.imag, ev.real))]
 
 
 def companion_roots(coeffs) -> np.ndarray:
     """Roots of a polynomial given by descending coefficients.
 
-    Builds the (balanced) companion matrix, takes its eigenvalues and applies
-    one Newton polish per root. Leading coefficient must exceed 1e-300 after
-    rescaling by the largest coefficient.
+    Takes the eigenvalues of the companion matrix and applies one Newton
+    polish per root. Leading coefficient must exceed 1e-300 after rescaling
+    by the largest coefficient.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.size < 2:
@@ -95,37 +82,18 @@ def companion_roots(coeffs) -> np.ndarray:
     c = c / scale
     if np.abs(c[0]) < 1e-300:
         raise InputError("degenerate leading coefficient")
-    roots = companion_roots_batch(c[None, :])[0]
-    return roots
-
-
-def companion_roots_batch(P: np.ndarray) -> np.ndarray:
-    """Row-wise polynomial roots for a batch of equal-degree coefficient rows.
-
-    P has shape (B, d+1), descending coefficients, nonzero leading column.
-    Returns (B, d) roots, each polished by one Newton step on the polynomial.
-    """
-    P = np.asarray(P, dtype=complex)
-    if P.ndim == 1:
-        P = P[None, :]
-    B, K1 = P.shape
-    d = K1 - 1
-    lead = P[:, 0]
-    if np.any(np.abs(lead) < 1e-300):
-        raise InputError("degenerate leading coefficient in batch")
-    Pm = P / lead[:, None]
-    C = np.zeros((B, d, d), dtype=complex)
-    if d > 1:
-        idx = np.arange(d - 1)
-        C[:, idx + 1, idx] = 1.0
-    C[:, 0, :] = -Pm[:, 1:]
+    c = c / c[0]
+    d = c.size - 1
+    C = np.zeros((d, d), dtype=complex)
+    C[np.arange(1, d), np.arange(d - 1)] = 1.0
+    C[0, :] = -c[1:]
     roots = np.linalg.eigvals(C)
-    # one vectorized Newton step: Horner for P and P'
+    # one Newton step: Horner for P and P'
     val = np.zeros_like(roots)
     der = np.zeros_like(roots)
-    for k in range(K1):
+    for ck in c:
         der = der * roots + val
-        val = val * roots + Pm[:, k, None]
+        val = val * roots + ck
     with np.errstate(all="ignore"):
         step = np.where(np.abs(der) > 1e-300, val / der, 0.0)
         step = np.where(np.abs(step) < 0.5 * (1 + np.abs(roots)), step, 0.0)
@@ -149,6 +117,27 @@ def arrowhead_eigvals(alpha: np.ndarray, rho: np.ndarray, poles: np.ndarray) -> 
     A[:, 1:, 0] = 1.0
     k = np.arange(1, d + 1)
     A[:, k, k] = poles
+    return np.linalg.eigvals(A).astype(complex, copy=False)
+
+
+def arrowhead_derivative_eigvals(rho: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """Row-wise roots of 1 - sum_k rho_k / (m - poles_k)^2, the m-derivative
+    of the function whose roots arrowhead_eigvals returns.
+
+    With one Jordan block J_k = [[poles_k, 1], [0, poles_k]] per pole,
+    b_k = e_2 and c_k = -rho_k e_1^T, the derivative is 1 + C (m I - A)^-1 B
+    for A = blockdiag(J_k), so its 2d zeros are the eigenvalues of A - B C:
+    each J_k with rho_k added along the second row of every block. rho and
+    poles have shape (B, d); real input is solved in real arithmetic.
+    Returns (B, 2 d) complex.
+    """
+    poles = np.asarray(poles)
+    B, d = poles.shape
+    A = np.zeros((B, 2 * d, 2 * d), dtype=np.result_type(rho, poles))
+    k = np.arange(0, 2 * d, 2)
+    A[:, k[:, None] + 1, k] = np.asarray(rho)[:, None, :]
+    A[:, k, k] = A[:, k + 1, k + 1] = poles
+    A[:, k, k + 1] = 1.0
     return np.linalg.eigvals(A).astype(complex, copy=False)
 
 

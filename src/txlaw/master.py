@@ -49,26 +49,7 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class SpectralParameter:
-    """Spectral variable w = E + i eta with its upper-branch square root."""
-
-    w: complex
-    z_mod: float
-
-    def __post_init__(self):
-        if complex(self.w).imag < 0:
-            raise DomainError("Im w must be >= 0")
-        if self.z_mod < 0:
-            raise DomainError("|z| must be >= 0")
-
-    @property
-    def sqrt_w(self) -> complex:
-        return complex(sqrt_upper(self.w))
-
-
-@dataclass(frozen=True)
 class MasterSolution:
-    parameter: SpectralParameter
     m_c: complex
     m1c: complex
     m2c: complex
@@ -230,32 +211,6 @@ def _arrowhead(u: np.ndarray, spec: SigmaSpectrum, z_mod: float):
     return alpha, rho.reshape(u.size, 3 * s.size), pi.reshape(u.size, 3 * s.size)
 
 
-def build_master_polynomial(w, spec: SigmaSpectrum, z_mod: float) -> np.ndarray:
-    """Coefficients (descending) of f times the product of the per-atom cubics.
-
-    Degree 3n + 1; for |z| = 0 the cubics degenerate and the degree drops to
-    n + 1. A small-n test oracle for the arrowhead solver.
-    """
-    u = complex(sqrt_upper(w))
-    z2 = z_mod * z_mod
-    if z_mod == 0.0:
-        cubs = [np.array([u, -si]) for si in spec.s]
-        num = np.array([1.0, 0.0])                      # m
-    else:
-        cubs = [np.array([u, -(si + z2), -u * z2, z2 * z2]) for si in spec.s]
-        num = np.array([1.0, 0.0, -z2, 0.0])            # m^3 - |z|^2 m
-    P = np.array([1.0, -u])
-    for cub in cubs:
-        P = np.convolve(P, cub)
-    for i, (si, wi) in enumerate(zip(spec.s, spec.weights)):
-        term = wi * si * num
-        for j, cub in enumerate(cubs):
-            if j != i:
-                term = np.convolve(term, cub)
-        P[P.size - term.size :] += term
-    return P
-
-
 def _polish(w, m, spec: SigmaSpectrum, z_mod: float, steps: int):
     """Newton steps on f from m; returns (m, |f|).
 
@@ -384,7 +339,6 @@ def solve_master(
     wc = complex(w)
     if wc.imag < 0:
         raise DomainError("Im w must be >= 0")
-    param = SpectralParameter(w=wc, z_mod=z_mod)
     m, m1, _, resid, ncand = solve_master_batch(np.array([wc]), spec, z_mod, opts)
     n_cand = int(ncand[0])
     if n_cand == 0:
@@ -403,7 +357,6 @@ def solve_master(
                 stacklevel=2,
             )
     return MasterSolution(
-        parameter=param,
         m_c=mc,
         m1c=m1v,
         # through the scalar path, so m2c == m2_from_m1(m1c) holds bit for bit

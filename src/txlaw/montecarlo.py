@@ -511,42 +511,6 @@ def radial_esd_cdf(
     }
 
 
-@dataclass(frozen=True)
-class LawStatistics:
-    """Aggregated verification statistics for one ensemble configuration.
-
-    Each field holds the corresponding operation's output (None if skipped);
-    profiles carry their run counts for statistical interpretation. All
-    numeric entries must be finite.
-    """
-
-    config: EnsembleConfig
-    averaged_profile: list | None = None
-    entrywise: list | None = None
-    rigidity: dict | None = None
-    extremes: dict | None = None
-    local_circular: dict | None = None
-    radial_cdf: dict | None = None
-
-    def __post_init__(self):
-        def walk(v):
-            if isinstance(v, dict):
-                for x in v.values():
-                    walk(x)
-            elif isinstance(v, (list, tuple)):
-                for x in v:
-                    walk(x)
-            elif isinstance(v, np.ndarray):
-                if v.dtype.kind in "fc" and not np.all(np.isfinite(v)):
-                    raise InputError("non-finite entry in law statistics")
-            elif isinstance(v, float) and not np.isfinite(v):
-                raise InputError("non-finite entry in law statistics")
-
-        for name in ("averaged_profile", "entrywise", "rigidity", "extremes",
-                     "local_circular", "radial_cdf"):
-            walk(getattr(self, name))
-
-
 def count_trivial_zeros(result: RunResult) -> int:
     """Structural zero eigenvalues of the product (exactly N - K expected)."""
     return int(np.sum(np.abs(result.eigenvalues) <= ZERO_EIG_TOL))

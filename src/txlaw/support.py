@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BracketingError, DomainError, SolverError
-from .linalg import symmetric_eigvals
+from .linalg import arrowhead_derivative_eigvals, symmetric_eigvals
 from .master import (
     SolverOptions,
     cubic_factorize,
@@ -69,35 +69,15 @@ class CriticalPointSet:
         )
 
 
-def _dfdm_numerator_coeffs(w: float, spec: SigmaSpectrum, z_mod: float) -> np.ndarray:
-    """Coefficients (descending) of the cleared numerator of df/dm, degree <= 6n."""
-    u = np.sqrt(float(w))
-    z2 = z_mod * z_mod
-    wts = spec.weights
-    cubs = [
-        np.array([u, -(si + z2), -u * z2, z2 * z2], dtype=float) for si in spec.s
-    ]
-    dcubs = [np.array([3 * u, -2 * (si + z2), -u * z2], dtype=float) for si in spec.s]
-    prod_sq = np.array([1.0])
-    for c in cubs:
-        prod_sq = np.convolve(prod_sq, np.convolve(c, c))
-    out = prod_sq.copy()
-    num_m = np.array([3.0, 0.0, -z2])          # d/dm of m(m^2 - z^2)
-    num = np.array([1.0, 0.0, -z2, 0.0])       # m(m^2 - z^2)
-    for i, si in enumerate(spec.s):
-        qi = np.polysub(np.convolve(num_m, cubs[i]), np.convolve(num, dcubs[i]))
-        term = wts[i] * si * qi
-        for j in range(spec.n):
-            if j != i:
-                term = np.convolve(term, np.convolve(cubs[j], cubs[j]))
-        out = np.polyadd(out, term)
-    return out
-
-
 def critical_points(
     w: float, spec: SigmaSpectrum, z_mod: float, opts: SolverOptions | None = None
 ) -> CriticalPointSet:
-    """All real critical points of f at real w > 0, with occupancy checks."""
+    """All real critical points of f at real w > 0, with occupancy checks.
+
+    They are the real eigenvalues of the Jordan-block linearization of df/dm
+    built on f's arrowhead data (arrowhead_derivative_eigvals), each polished
+    by Newton steps on df/dm.
+    """
     opts = opts or SolverOptions()
     if w <= 0:
         raise DomainError("critical_points needs w > 0")
@@ -106,8 +86,11 @@ def critical_points(
     fac = cubic_factorize(w, spec, z_mod)
     poles_pos = np.sort(np.concatenate([fac.b, fac.a]))
     poles_neg = np.sort(fac.c)
-    coeffs = _dfdm_numerator_coeffs(w, spec, z_mod)
-    roots = np.roots(coeffs / np.max(np.abs(coeffs)))
+    # f's arrowhead data: residues c_i (A, B, C) at the poles (a, b, -c)
+    c = spec.weights * np.asarray(spec.s)
+    rho = np.concatenate([fac.A * c, fac.B * c, fac.C * c])
+    pi = np.concatenate([fac.a, fac.b, -fac.c])
+    roots = arrowhead_derivative_eigvals(rho[None], pi[None])[0]
     scale = max(1.0, poles_pos.max())
     cand = roots[np.abs(roots.imag) < 1e-7 * scale].real
     # polish on df/dm and deduplicate

@@ -151,7 +151,7 @@ def check_esd(opts: SolverOptions, args) -> dict:
     return {"passed": med <= thr, "median_sup_dev": med, "threshold": thr}
 
 
-def run_suite(name: str, spec, opts: SolverOptions, args) -> dict[str, dict]:
+def run_suite(name: str, opts: SolverOptions, args) -> dict[str, dict]:
     if name == "quick":
         return run_selfcheck()
     table = {

@@ -176,11 +176,9 @@ def test_simulate_reports_failed_run(tmp_path, fig2_file, monkeypatch, capsys):
     assert sorted({int(row.split(",")[0]) for row in eig}) == [0, 2]
 
 
-def test_verify_suite_small(tmp_path, fig2_file):
+def test_verify_suite_small(tmp_path):
     out = tmp_path / "v"
-    rc = main(
-        ["verify", "--sigma", str(fig2_file), "--suite", "small-w", "--out", str(out)]
-    )
+    rc = main(["verify", "--suite", "small-w", "--out", str(out)])
     assert rc == 0
     data = json.loads((out / "verify.json").read_text())
     assert data["small_w"]["passed"]

@@ -29,12 +29,6 @@ def test_table_mass_fig2(fig2_spec):
         assert abs(table.mass1 - 1.0) <= 1e-4
 
 
-def test_eval_rho2_zero_off_support(fig2_spec):
-    table = txlaw.tabulate_density(fig2_spec, 1.5)
-    lo = table.bands[0][0]
-    assert np.all(table.eval_rho2(np.array([lo / 2, table.bands[-1][1] + 1])) == 0.0)
-
-
 def test_cdf_against_oracle(identity_spec):
     table = txlaw.tabulate_density(identity_spec, 0.0)
     for x in (0.3, 1.0, 2.0, 3.5):

@@ -61,7 +61,7 @@ def test_general_eigenvalues_rotation():
 
 def test_general_eigenvalues_companion_of_quadratic():
     # m^2 - 3m + 2 -> companion [[3, -2], [1, 0]]
-    ev = txlaw.general_eigenvalues(np.array([[3.0, -2.0], [1.0, 0.0]]), validate=True)
+    ev = txlaw.general_eigenvalues(np.array([[3.0, -2.0], [1.0, 0.0]]))
     assert sorted(ev.real) == pytest.approx([1.0, 2.0])
 
 
@@ -108,7 +108,21 @@ def test_companion_roots_constructed_degree7():
 
 def test_companion_degenerate_leading():
     with pytest.raises(InputError):
-        txlaw.companion_roots_batch(np.array([[0.0, 1.0, 2.0]]))
+        txlaw.companion_roots([0.0, 1.0, 2.0])
+
+
+def test_arrowhead_derivative_eigvals():
+    # one pole: 1 - rho / (m - pi)^2 vanishes at pi +- sqrt(rho)
+    r = np.sort_complex(txlaw.arrowhead_derivative_eigvals(np.array([[4.0]]), np.array([[1.0]]))[0])
+    assert r == pytest.approx(np.array([-1.0, 3.0]))
+    rng = np.random.default_rng(19)
+    rho = rng.standard_normal((3, 9))
+    poles = rng.uniform(-5.0, 5.0, (3, 9))
+    roots = txlaw.arrowhead_derivative_eigvals(rho, poles)
+    assert roots.shape == (3, 18)
+    terms = rho[:, None, :] / (roots[..., None] - poles[:, None, :]) ** 2
+    # residual relative to the size of the terms that cancel
+    assert np.max(np.abs(1 - terms.sum(-1)) / (1 + np.abs(terms).sum(-1))) < 1e-10
 
 
 def test_qr_haar_orthogonal():

@@ -339,21 +339,6 @@ def test_rng_stream_independence():
     assert np.array_equal(a, c)
 
 
-def test_law_statistics_container(spec200, identity_radial_profile):
-    cfg = small_cfg(spec200, runs=3, z_list=(1.5 + 0j,), seed=51)
-    runs = txlaw.run_ensemble(cfg)
-    stats = txlaw.LawStatistics(
-        config=cfg,
-        averaged_profile=txlaw.averaged_law_profile(
-            cfg, 1.5, E_bulk=4.0, eta_grid=[0.5], runs=runs
-        ),
-        radial_cdf=txlaw.radial_esd_cdf(cfg, identity_radial_profile, runs=runs),
-    )
-    assert stats.averaged_profile[0]["runs"] == 3
-    with pytest.raises(txlaw.InputError):
-        txlaw.LawStatistics(config=cfg, rigidity={"median": float("nan")})
-
-
 def test_failed_run_policy(spec200):
     good = txlaw.sample_run(small_cfg(spec200, runs=1), 0)
     bad = txlaw.RunResult(

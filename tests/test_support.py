@@ -84,6 +84,22 @@ def test_critical_value_ordering_sweep():
         assert np.all(np.abs(hv + np.sqrt(w)) <= cps.value_bound)
 
 
+def test_critical_points_grid_many_atoms(many_spec):
+    # the cleared degree-6n numerator of df/dm lost critical points here
+    rng = np.random.default_rng(14)
+    raw = np.sort(rng.uniform(0.2, 4.0, 40))[::-1]
+    spec40, _ = txlaw.normalize_spectrum(raw, [8] * 40, 320, 320)
+    for spec in (many_spec, spec40):
+        for w in np.geomspace(0.02, 20.0, 15):
+            for z in (0.5, 1.2, 1.5):
+                cps = txlaw.critical_points(w, spec, z)
+                assert cps.occupancy_ok(spec.n) and cps.ordering_ok
+                m = np.array([p[0] for p in cps.points])
+                assert np.max(np.abs(txlaw.master_f_all(w, m, spec, z)[1])) <= 1e-10
+                assert (support.support_indicator_by_critical_values(w, spec, z)
+                        == txlaw.support_indicator(w, spec, z))
+
+
 def test_indicator_agreement(fig2_spec):
     rng = np.random.default_rng(13)
     for _ in range(25):
