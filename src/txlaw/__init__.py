@@ -30,7 +30,6 @@ from .sigma import (
 from .master import (
     CubicFactorization,
     MasterSolution,
-    SolverOptions,
     cubic_factorize,
     density_batch,
     m2_from_m1,
@@ -44,7 +43,6 @@ from .master import (
 from .support import (
     CriticalPointSet,
     EdgeInfo,
-    FindEdgesOptions,
     RegularityReport,
     SupportProfile,
     ZeroEdgeInfo,

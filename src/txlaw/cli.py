@@ -32,10 +32,9 @@ from .density import (
     write_radial_csv,
 )
 from .errors import InputError, TxlawError
-from .master import SolverOptions
 from .montecarlo import EnsembleConfig, run_ensemble, count_trivial_zeros
 from .sigma import ModelParams, load_sigma_file
-from .support import FindEdgesOptions, find_edges
+from .support import find_edges
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -87,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _opts_from_args(args) -> SolverOptions:
-    return SolverOptions(params=ModelParams(z_band_min=args.zband))
+def _params(args) -> ModelParams:
+    return ModelParams(z_band_min=args.zband)
 
 
 def _manifest(args, outdir: Path, t0: float, extra: dict) -> None:
@@ -135,10 +134,9 @@ def _z(args) -> float:
 
 def cmd_density(args, outdir: Path, manifest: dict) -> int:
     spec = _load_spec(args)
-    opts = _opts_from_args(args)
     z = _z(args)
-    profile = find_edges(spec, z, opts, FindEdgesOptions(scan_points=args.grid))
-    table = tabulate_density(spec, z, resolution=args.grid, profile=profile, opts=opts)
+    profile = find_edges(spec, z, _params(args), args.grid)
+    table = tabulate_density(spec, z, resolution=args.grid, profile=profile)
     write_density_csv(table, outdir / "density.csv")
     (outdir / "bands.json").write_text(json.dumps(profile.to_dict(), indent=2))
     manifest["total_mass"] = table.total_mass
@@ -146,15 +144,14 @@ def cmd_density(args, outdir: Path, manifest: dict) -> int:
 
 
 def cmd_edges(args, outdir: Path, manifest: dict) -> int:
-    profile = find_edges(_load_spec(args), _z(args), _opts_from_args(args),
-                         FindEdgesOptions(scan_points=args.grid))
+    profile = find_edges(_load_spec(args), _z(args), _params(args), args.grid)
     (outdir / "edges.json").write_text(json.dumps(profile.to_dict(), indent=2))
     return EXIT_OK
 
 
 def cmd_chi(args, outdir: Path, manifest: dict) -> int:
     profile = compute_radial_profile(
-        _load_spec(args), args.rmin, args.rmax, h=args.rstep, opts=_opts_from_args(args)
+        _load_spec(args), args.rmin, args.rmax, h=args.rstep, params=_params(args)
     )
     write_radial_csv(profile, outdir / "radial.csv")
     return EXIT_OK
@@ -162,10 +159,9 @@ def cmd_chi(args, outdir: Path, manifest: dict) -> int:
 
 def cmd_quantiles(args, outdir: Path, manifest: dict) -> int:
     spec = _load_spec(args)
-    opts = _opts_from_args(args)
     z = _z(args)
-    profile = find_edges(spec, z, opts, FindEdgesOptions(scan_points=args.grid))
-    table = tabulate_density(spec, z, resolution=args.grid, profile=profile, opts=opts)
+    profile = find_edges(spec, z, _params(args), args.grid)
+    table = tabulate_density(spec, z, resolution=args.grid, profile=profile)
     qt = quantiles(table, spec.K)
     write_quantiles_csv(qt, outdir / "quantiles.csv")
     manifest["total_mass"] = table.total_mass
@@ -216,7 +212,7 @@ def _write_checks(outdir: Path, name: str, results: dict) -> int:
 def cmd_verify(args, outdir: Path, manifest: dict) -> int:
     from .verify_suites import run_suite
 
-    results = run_suite(args.suite, _opts_from_args(args), args)
+    results = run_suite(args.suite, _params(args), args)
     return _write_checks(outdir, "verify.json", results)
 
 

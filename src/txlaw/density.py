@@ -22,8 +22,8 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .errors import DomainError, SolverError, TableTooCoarseError
-from .master import SolverOptions, density_batch
-from .sigma import SigmaSpectrum
+from .master import density_batch
+from .sigma import ModelParams, SigmaSpectrum
 from .support import SupportProfile, find_edges
 
 GL_ORDER = 64
@@ -241,7 +241,6 @@ def tabulate_density(
     z_mod: float,
     resolution: int = 2000,
     profile: SupportProfile | None = None,
-    opts: SolverOptions | None = None,
 ) -> DensityTable:
     """Gauss-Legendre density table over all support bands.
 
@@ -250,9 +249,8 @@ def tabulate_density(
     TableTooCoarseError when the rho2 mass misses 1 by more than 1e-3
     (a missed band; rescan with finer support options).
     """
-    opts = opts or SolverOptions()
     if profile is None:
-        profile = find_edges(spec, z_mod, opts)
+        profile = find_edges(spec, z_mod)
     bands = profile.bands_ascending
     widths = np.array([hi - lo for lo, hi in bands])
     shares = widths / widths.sum()
@@ -272,7 +270,7 @@ def tabulate_density(
                 [0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GL_XI for (t0, t1) in pending]
             )
             x_cat = np.maximum(_x_of_theta(lo, hi, th_cat), 1e-300)
-            rho1, rho2, _, _ = density_batch(x_cat, spec, z_mod, opts)
+            rho1, rho2, _, _ = density_batch(x_cat, spec, z_mod)
             nxt: list[tuple[float, float]] = []
             for k, (t0, t1) in enumerate(pending):
                 sl = slice(k * GL_ORDER, (k + 1) * GL_ORDER)
@@ -341,7 +339,6 @@ def log_potential(
     spec: SigmaSpectrum,
     z_mod: float,
     table: DensityTable | None = None,
-    opts: SolverOptions | None = None,
 ) -> tuple[float, float]:
     """(integral of log(x) rho2(x) dx, quadrature error estimate).
 
@@ -350,7 +347,7 @@ def log_potential(
     the log-weighted integrand plus the table's own mass-tail estimate.
     """
     if table is None:
-        table = tabulate_density(spec, z_mod, opts=opts)
+        table = tabulate_density(spec, z_mod)
     val = 0.0
     err = 0.0
     for seg in table.segments:
@@ -469,20 +466,20 @@ def compute_radial_profile(
     r_lo: float,
     r_hi: float,
     h: float = 0.005,
-    opts: SolverOptions | None = None,
+    params: ModelParams = ModelParams(),
 ) -> RadialProfile:
     """Radial profile of U, chi and F on [r_lo, r_hi] with grid step h <= 0.01.
 
-    Grid points inside the excluded band |r^2 - 1| < z_band_min are dropped,
-    which splits the grid into segments. The values come from the closed-form
-    radial law, so the spectrum must be normalized (DomainError otherwise).
+    Grid points inside the excluded band |r^2 - 1| < params.z_band_min are
+    dropped, which splits the grid into segments. The values come from the
+    closed-form radial law, so the spectrum must be normalized (DomainError
+    otherwise).
     """
-    opts = opts or SolverOptions()
     if h > 0.01:
         raise DomainError("radial grid step must be <= 0.01")
     if r_lo <= 0 or r_hi <= r_lo:
         raise DomainError("need 0 < r_lo < r_hi")
-    zb = opts.params.z_band_min
+    zb = params.z_band_min
     n_req = int(round((r_hi - r_lo) / h))
     req = r_lo + h * np.arange(n_req + 1)
 

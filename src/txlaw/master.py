@@ -14,9 +14,10 @@ f(sqrt(w), m) = 0. Its partial-fraction form
 has 3n poles pi_k, the roots of the n per-atom cubics (n = number of
 distinct Sigma eigenvalues), so its 3n + 1 roots are the eigenvalues of an
 arrowhead matrix. The solver takes them, filters by the half-plane
-conditions Im m1 > 0 and Im(w m1) > 0, polishes with Newton steps on f, and
-falls back to continuation in Im w when no root is admissible. At real
-w > 0 everything is real; the densities are solved there directly.
+conditions Im m1 > 0 and Im(w m1) > 0 and polishes with Newton steps on f.
+Above the real axis one root is always admissible; at real w > 0 one is
+exactly inside the support. There everything is real, and the densities
+are solved directly.
 
 All evaluators are vectorized over w and m.
 """
@@ -24,15 +25,17 @@ All evaluators are vectorized over w and m.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SolverError, TableTooCoarseError
 from .linalg import arrowhead_eigvals
-from .sigma import ModelParams, SigmaSpectrum
+from .sigma import SigmaSpectrum
 
 UNIQUE_ETA = 1e-6     # above this Im w the admissible root must be unique
+RESIDUAL_TOL = 1e-12  # |f| contract for every returned root
+POLISH_STEPS = 4      # Newton steps on f after the eigensolve
 
 
 def sqrt_upper(w):
@@ -42,21 +45,12 @@ def sqrt_upper(w):
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    residual_tol: float = 1e-12
-    max_newton: int = 50
-    params: ModelParams = field(default_factory=ModelParams)
-
-
-@dataclass(frozen=True)
 class MasterSolution:
     m_c: complex
     m1c: complex
     m2c: complex
     residual: float
     n_candidate_roots: int
-    method: str          # "arrowhead" or "newton-continuation"
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -121,24 +115,37 @@ def master_f(w, m, spec: SigmaSpectrum, z_mod: float):
     return _atom_sum(shape, -u + m, c * m * (m * m - z2) / p)
 
 
+def _f_fm(cubics):
+    """f and df/dm from the _atom_cubics data, with the p_i', the numerators
+    m (m^2 - |z|^2) and their m-derivative that master_f_all reuses.
+
+    The Newton steps read only f and df/dm; they call this alone and get the
+    same bits as master_f_all.
+    """
+    shape, u, m, z2, c, q, p = cubics
+    pm = 3 * u * m**2 - 2 * q * m - u * z2
+    num = m * (m * m - z2)
+    num_m = 3 * m * m - z2
+    f = _atom_sum(shape, -u + m, c * num / p)
+    fm = _atom_sum(shape, np.ones_like(m), c * (num_m * p - num * pm) / (p * p))
+    return f, fm, pm, num, num_m
+
+
 def master_f_all(w, m, spec: SigmaSpectrum, z_mod: float):
     """f together with df/dm, d2f/dm2, df/dsqrt(w), d2f/(dm dsqrt(w)).
 
     The derivative formulas follow from the quotient rule applied to each
     rational summand; they are exercised against finite differences in tests.
     """
-    shape, u, m, z2, c, q, p = _atom_cubics(w, m, spec, z_mod)
-    pm = 3 * u * m**2 - 2 * q * m - u * z2
+    cubics = _atom_cubics(w, m, spec, z_mod)
+    shape, u, m, z2, c, q, p = cubics
+    f, fm, pm, num, num_m = _f_fm(cubics)
     pmm = 6 * u * m - 2 * q
     pu = m**3 - z2 * m
     pum = 3 * m**2 - z2
-    num = m * (m * m - z2)
-    num_m = 3 * m * m - z2
     num_mm = 6 * m
     p2 = p * p
     p3 = p * p * p
-    f = _atom_sum(shape, -u + m, c * num / p)
-    fm = _atom_sum(shape, np.ones_like(m), c * (num_m * p - num * pm) / p2)
     fmm = _atom_sum(shape, np.zeros_like(m), c * (
         num_mm * p * p - num * p * pmm - 2 * num_m * p * pm + 2 * num * pm * pm
     ) / p3)
@@ -211,41 +218,44 @@ def _arrowhead(u: np.ndarray, spec: SigmaSpectrum, z_mod: float):
     return alpha, rho.reshape(u.size, 3 * s.size), pi.reshape(u.size, 3 * s.size)
 
 
-def _polish(w, m, spec: SigmaSpectrum, z_mod: float, steps: int):
+def _admissible(m, w):
+    """Mask of the m whose m1 = m / sqrt(w) - 1 has Im m1 > 0 and Im(w m1) > 0."""
+    m1 = m / sqrt_upper(w) - 1.0
+    return (m1.imag > 0) & ((w * m1).imag > 0)
+
+
+def _newton(w, m, spec: SigmaSpectrum, z_mod: float):
+    """POLISH_STEPS Newton steps on f from m; a row with df/dm = 0 stays put."""
+    with np.errstate(all="ignore"):
+        for _ in range(POLISH_STEPS):
+            f, fm = _f_fm(_atom_cubics(w, m, spec, z_mod))[:2]
+            m = m - np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
+    return m
+
+
+def _polish(w, m, spec: SigmaSpectrum, z_mod: float):
     """Newton steps on f from m; returns (m, |f|).
 
     A row keeps its start where the steps leave the admissible half-planes
     or raise the residual.
     """
     r0 = np.abs(master_f(w, m, spec, z_mod))
-    mp = m
+    mp = _newton(w, m, spec, z_mod)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
-            f, fm, _, _, _ = master_f_all(w, mp, spec, z_mod)
-            mp = mp - np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
         r = np.abs(master_f(w, mp, spec, z_mod))
-        m1 = mp / sqrt_upper(w) - 1.0
-        keep = (m1.imag > 0) & ((w * m1).imag > 0) & (r <= r0)
+        keep = _admissible(mp, w) & (r <= r0)
     return np.where(keep, mp, m), np.where(keep, r, r0)
 
 
-def solve_master_batch(
-    w,
-    spec: SigmaSpectrum,
-    z_mod: float,
-    opts: SolverOptions | None = None,
-    polish_steps: int = 4,
-):
+def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float):
     """Vectorized master-equation solve for an array of w in the upper half-plane.
 
     One arrowhead eigensolve per point, in real arithmetic when every w is
     real and positive. Returns (m, m1, m2, residual, n_candidates). Entries
     with no admissible root get m = nan and n_candidates = 0 (at real w:
-    outside the support); callers decide whether to fall back to
-    continuation (solve_master does). Raises SolverError when a polished
-    admissible root misses opts.residual_tol.
+    outside the support). Raises SolverError when a polished admissible root
+    misses RESIDUAL_TOL.
     """
-    opts = opts or SolverOptions()
     w = np.asarray(w, dtype=complex)
     shape = w.shape
     wf = w.ravel()
@@ -253,8 +263,14 @@ def solve_master_batch(
     if np.any(u == 0):
         raise DomainError("the master equation needs w != 0")
     roots = arrowhead_eigvals(*_arrowhead(u.real if np.all(u.imag == 0) else u, spec, z_mod))
-    m1 = roots / u[:, None] - 1.0
-    adm = (m1.imag > 0) & ((wf[:, None] * m1).imag > 0)
+    adm = _admissible(roots, wf[:, None])
+    lost = ~adm.any(axis=1) & (wf.imag > 0)
+    if np.any(lost):
+        # above the real axis one root is admissible, but where Im w is near
+        # the rounding level of the eigensolve, so are its imaginary parts:
+        # Newton steps on f settle their signs before the filter
+        roots[lost] = _newton(wf[lost, None], roots[lost], spec, z_mod)
+        adm[lost] = _admissible(roots[lost], wf[lost, None])
     ncand = adm.sum(axis=1)
     idx = np.argmax(adm, axis=1)
     multi = ncand > 1
@@ -265,12 +281,12 @@ def solve_master_batch(
     ok = ncand > 0
     m = np.full(wf.shape, np.nan + 0j)
     resid = np.full(wf.shape, np.inf)
-    m[ok], resid[ok] = _polish(wf[ok], roots[ok, idx[ok]], spec, z_mod, polish_steps)
-    if np.any(resid[ok] > opts.residual_tol):
+    m[ok], resid[ok] = _polish(wf[ok], roots[ok, idx[ok]], spec, z_mod)
+    if np.any(resid[ok] > RESIDUAL_TOL):
         k = np.argmax(np.where(ok, resid, 0.0))
         raise SolverError(
             f"admissible root at w = {wf[k]} has residual {resid[k]:.2e} "
-            f"> {opts.residual_tol:.0e}"
+            f"> {RESIDUAL_TOL:.0e}"
         )
     m1 = m / u - 1.0
     m2 = np.full(wf.shape, np.nan + 0j)
@@ -284,87 +300,34 @@ def solve_master_batch(
     )
 
 
-def _continuation_solve(
-    w: complex, spec: SigmaSpectrum, z_mod: float, opts: SolverOptions
-) -> tuple[complex, int]:
-    """Track the analytic branch downward in Im w from eta = 1.
-
-    Covers points where no root is admissible: at eta = 1 the admissible
-    root is unique, and the branch is followed by Newton steps with
-    geometric eta decrease.
-    """
-    E = w.real
-    eta_target = max(w.imag, 0.0)
-    w_hi = complex(E, 1.0)
-    m, _, _, resid, ncand = solve_master_batch(np.array([w_hi]), spec, z_mod, opts)
-    if ncand[0] == 0:
-        raise SolverError(f"no admissible root at continuation anchor {w_hi}")
-    m = complex(m[0])
-    eta = 1.0
-    iters = 0
-    while eta > eta_target:
-        eta = max(eta_target, eta * 0.5)
-        wk = complex(E, eta)
-        for _ in range(opts.max_newton):
-            f, fm, _, _, _ = master_f_all(wk, m, spec, z_mod)
-            if abs(fm) < 1e-300:
-                raise SolverError("continuation hit a critical point")
-            step = f / fm
-            m -= complex(step)
-            iters += 1
-            if abs(step) <= 1e-15 * max(1.0, abs(m)):
-                break
-        if eta == eta_target:
-            break
-    resid = abs(complex(master_f(w if w.imag > 0 else complex(E, eta_target), m, spec, z_mod)))
-    if resid > max(opts.residual_tol, 1e-9):
-        raise SolverError(f"continuation did not converge at w = {w} (residual {resid:.2e})")
-    return m, iters
-
-
-def solve_master(
-    w,
-    spec: SigmaSpectrum,
-    z_mod: float,
-    opts: SolverOptions | None = None,
-) -> MasterSolution:
+def solve_master(w, spec: SigmaSpectrum, z_mod: float) -> MasterSolution:
     """Solve the master equation at a single spectral parameter.
 
-    Primary path: arrowhead eigenvalues plus half-plane filtering. Fallback
-    when no root is admissible: Newton continuation from Im w = 1. Raises
-    SolverError when no admissible solution exists.
+    Arrowhead eigenvalues plus half-plane filtering. Raises SolverError when
+    no root is admissible, which at real w means w is outside the support.
     """
-    opts = opts or SolverOptions()
     spec.require_normalized()
     wc = complex(w)
     if wc.imag < 0:
         raise DomainError("Im w must be >= 0")
-    m, m1, _, resid, ncand = solve_master_batch(np.array([wc]), spec, z_mod, opts)
+    m, m1, _, resid, ncand = solve_master_batch(np.array([wc]), spec, z_mod)
     n_cand = int(ncand[0])
     if n_cand == 0:
-        mc, iters = _continuation_solve(wc, spec, z_mod, opts)
-        method = "newton-continuation"
-        m1v = mc / complex(sqrt_upper(wc)) - 1.0
-        residv = abs(complex(master_f(wc, mc, spec, z_mod)))
-        n_cand = 1
-    else:
-        method, iters = "arrowhead", 0
-        mc, m1v, residv = complex(m[0]), complex(m1[0]), float(resid[0])
-        if wc.imag >= UNIQUE_ETA and n_cand > 1:
-            warnings.warn(
-                f"{n_cand} admissible roots at w = {wc}; selected the smallest "
-                "residual (expected a unique solution here)",
-                stacklevel=2,
-            )
+        raise SolverError(f"no admissible root at w = {wc} (|z| = {z_mod})")
+    if wc.imag >= UNIQUE_ETA and n_cand > 1:
+        warnings.warn(
+            f"{n_cand} admissible roots at w = {wc}; selected the smallest "
+            "residual (expected a unique solution here)",
+            stacklevel=2,
+        )
+    m1v = complex(m1[0])
     return MasterSolution(
-        m_c=mc,
+        m_c=complex(m[0]),
         m1c=m1v,
         # through the scalar path, so m2c == m2_from_m1(m1c) holds bit for bit
         m2c=complex(m2_from_m1(m1v, wc, z_mod)),
-        residual=residv,
+        residual=float(resid[0]),
         n_candidate_roots=n_cand,
-        method=method,
-        iterations=iters,
     )
 
 
@@ -398,12 +361,7 @@ def cubic_factorize(w: float, spec: SigmaSpectrum, z_mod: float) -> CubicFactori
 # densities on the real axis
 # ---------------------------------------------------------------------------
 
-def density_batch(
-    x,
-    spec: SigmaSpectrum,
-    z_mod: float,
-    opts: SolverOptions | None = None,
-):
+def density_batch(x, spec: SigmaSpectrum, z_mod: float):
     """(rho1, rho2, err1, err2) at positive x, solved at w = x on the real axis.
 
     Inside the support the real arrowhead has one conjugate pair of roots;
@@ -411,15 +369,14 @@ def density_batch(
     is admissible and rho = 0. err1 and err2 are the change in rho1 and rho2
     over one further Newton step from the returned root.
     """
-    opts = opts or SolverOptions()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise DomainError("density_batch needs x > 0")
-    m, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod, opts)
+    m, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod)
     ok = ncand > 0
     rho1, rho2, err1, err2 = (np.zeros(x.shape) for _ in range(4))
     xo, m1o, m2o = x[ok], m1[ok], m2[ok]
-    f, fm, _, _, _ = master_f_all(xo, m[ok], spec, z_mod)
+    f, fm = _f_fm(_atom_cubics(xo, m[ok], spec, z_mod))[:2]
     m1n = m1o - f / fm / np.sqrt(xo)
     rho1[ok] = m1o.imag / np.pi
     rho2[ok] = m2o.imag / np.pi
@@ -433,7 +390,6 @@ def verify_stieltjes(
     w_samples,
     spec: SigmaSpectrum,
     z_mod: float,
-    opts: SolverOptions | None = None,
     quad_tol: float = 1e-5,
 ) -> float:
     """Max relative gap between quadrature of rho/(x-w) and the direct solve.
@@ -441,7 +397,6 @@ def verify_stieltjes(
     Checks both transforms at every sample. Raises TableTooCoarseError when
     the table's own quadrature-error estimate exceeds quad_tol.
     """
-    opts = opts or SolverOptions()
     w_samples = np.asarray(w_samples, dtype=complex)
     if np.any(w_samples.imag < 0.05):
         raise DomainError("verify_stieltjes needs Im w >= 0.05")
@@ -454,7 +409,7 @@ def verify_stieltjes(
     for w in w_samples:
         q1 = table.integrate_rho1(lambda x: 1.0 / (x - w))
         q2 = table.integrate_rho2(lambda x: 1.0 / (x - w))
-        sol = solve_master(w, spec, z_mod, opts)
+        sol = solve_master(w, spec, z_mod)
         worst = max(
             worst,
             abs(q1 - sol.m1c) / abs(sol.m1c),

@@ -24,7 +24,7 @@ from .errors import DomainError, InputError, SolverError
 from .density import DensityTable, QuantileTable, RadialProfile
 from .linalg import (blas_threads, general_eigenvalues, operator_norm_estimate, qr_haar,
                      symmetric_eigvals)
-from .master import SolverOptions, solve_master, sqrt_upper
+from .master import solve_master, sqrt_upper
 from .sigma import SigmaSpectrum
 
 ZERO_EIG_TOL = 1e-8
@@ -202,14 +202,12 @@ def averaged_law_profile(
     z_mod: float,
     E_bulk: float,
     eta_grid,
-    opts: SolverOptions | None = None,
     runs: list[RunResult] | None = None,
 ):
     """Per-eta aggregates of K eta |m2 - m2_pred| at w = E_bulk + i eta.
 
     Returns a list of dicts with keys eta, median, p90, runs.
     """
-    opts = opts or SolverOptions()
     if runs is None:
         if not any(abs(abs(z) - z_mod) < 1e-12 for z in cfg.z_list):
             cfg = replace(cfg, z_list=tuple(cfg.z_list) + (complex(z_mod),))
@@ -220,7 +218,7 @@ def averaged_law_profile(
     out = []
     for eta in np.atleast_1d(eta_grid):
         w = complex(E_bulk, float(eta))
-        sol = solve_master(w, cfg.spec, z_mod, opts)
+        sol = solve_master(w, cfg.spec, z_mod)
         stats = [
             K * eta * abs(empirical_m2(r.singular[key], w) - sol.m2c) for r in runs
         ]
@@ -270,7 +268,6 @@ def entrywise_law_check(
     cfg: EnsembleConfig,
     z: complex,
     w: complex,
-    opts: SolverOptions | None = None,
     probes: int = 4,
 ):
     """Per-run max group deviation of the resolvent from its deterministic limit.
@@ -281,11 +278,10 @@ def entrywise_law_check(
     Raises DomainError when eta sits below the validated resolution
     1/(N |m2_pred|).
     """
-    opts = opts or SolverOptions()
     if cfg.N != cfg.M or cfg.t_mode != "diagonal":
         raise DomainError("entrywise check requires N = M and diagonal T")
     z_mod = abs(z)
-    sol = solve_master(w, cfg.spec, z_mod, opts)
+    sol = solve_master(w, cfg.spec, z_mod)
     N = cfg.N
     eta = complex(w).imag
     if eta < 1.0 / (N * abs(sol.m2c)):

@@ -95,14 +95,14 @@ class SigmaSpectrum:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Global margins for the validated parameter domain."""
+    """Global margin for the validated parameter domain: the half-width of
+    the excluded band of |z|^2 around 1."""
 
-    tau: float = 0.05
     z_band_min: float = 0.05
 
     def __post_init__(self):
-        if self.tau <= 0 or self.z_band_min <= 0:
-            raise InputError("tau and z_band_min must be positive")
+        if self.z_band_min <= 0:
+            raise InputError("z_band_min must be positive")
 
     def check_z(self, z_mod: float) -> None:
         """Reject |z| inside the excluded band around the unit circle."""

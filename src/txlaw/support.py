@@ -17,17 +17,14 @@ import numpy as np
 
 from .errors import BracketingError, DomainError, SolverError
 from .linalg import arrowhead_derivative_eigvals, symmetric_eigvals
-from .master import (
-    SolverOptions,
-    cubic_factorize,
-    density_batch,
-    master_f_all,
-    solve_master_batch,
-)
-from .sigma import SigmaSpectrum, sigma_harmonic_mean
+from .master import cubic_factorize, density_batch, master_f_all, solve_master_batch
+from .sigma import ModelParams, SigmaSpectrum, sigma_harmonic_mean
 
 EDGE_F_TOL = 1e-10
 EDGE_DF_TOL = 1e-8
+GRID_LO = 1e-6          # lowest point of the support scan
+BISECT_WIDTH = 1e-10    # relative width of a bisected support crossing
+ZERO_EDGE_TAU = 0.05    # the zero edge needs |z|^2 <= 1 - ZERO_EDGE_TAU
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +66,13 @@ class CriticalPointSet:
         )
 
 
-def critical_points(
-    w: float, spec: SigmaSpectrum, z_mod: float, opts: SolverOptions | None = None
-) -> CriticalPointSet:
+def critical_points(w: float, spec: SigmaSpectrum, z_mod: float) -> CriticalPointSet:
     """All real critical points of f at real w > 0, with occupancy checks.
 
     They are the real eigenvalues of the Jordan-block linearization of df/dm
     built on f's arrowhead data (arrowhead_derivative_eigvals), each polished
     by Newton steps on df/dm.
     """
-    opts = opts or SolverOptions()
     if w <= 0:
         raise DomainError("critical_points needs w > 0")
     if z_mod <= 0:
@@ -270,18 +264,13 @@ class SupportProfile:
 
 
 def support_indicator(
-    E: float,
-    spec: SigmaSpectrum,
-    z_mod: float,
-    opts: SolverOptions | None = None,
-    diagnostics: bool = False,
+    E: float, spec: SigmaSpectrum, z_mod: float, diagnostics: bool = False
 ) -> bool:
     """True iff an admissible root exists at real w = E (exact support test);
     optional cross-check against the critical-value sign test."""
-    opts = opts or SolverOptions()
     if E <= 0:
         raise DomainError("support_indicator needs E > 0")
-    inside = bool(_inside(np.array([E]), spec, z_mod, opts)[0])
+    inside = bool(_inside(np.array([E]), spec, z_mod)[0])
     if diagnostics and z_mod > 0:
         cv = support_indicator_by_critical_values(E, spec, z_mod)
         if cv != inside:
@@ -295,8 +284,9 @@ def support_indicator(
     return inside
 
 
-def zero_edge_scale(spec: SigmaSpectrum, z_mod: float, tau: float = 0.05) -> float:
-    """Scale t of the x^(-1/2) density divergence at the zero edge (|z|^2 <= 1 - tau).
+def zero_edge_scale(spec: SigmaSpectrum, z_mod: float) -> float:
+    """Scale t of the x^(-1/2) density divergence at the zero edge
+    (|z|^2 <= 1 - ZERO_EDGE_TAU).
 
     t is the positive root of
         G(t) = sum_i w_i (t + |z|^2 - s_i) / ((s_i + |z|^2) t + |z|^4),
@@ -309,8 +299,8 @@ def zero_edge_scale(spec: SigmaSpectrum, z_mod: float, tau: float = 0.05) -> flo
     mean below |z|^2 can put that root at t <= 0, which raises SolverError.
     As |z| -> 0, t tends to the harmonic mean of the spectrum.
     """
-    if z_mod < 0 or z_mod * z_mod > 1 - tau:
-        raise DomainError("zero edge requires |z|^2 <= 1 - tau")
+    if z_mod < 0 or z_mod * z_mod > 1 - ZERO_EDGE_TAU:
+        raise DomainError(f"zero edge requires |z|^2 <= 1 - {ZERO_EDGE_TAU}")
     if z_mod == 0.0:
         return sigma_harmonic_mean(spec)
     s = np.asarray(spec.s)
@@ -327,9 +317,9 @@ def zero_edge_scale(spec: SigmaSpectrum, z_mod: float, tau: float = 0.05) -> flo
     return float(t)
 
 
-def _inside(x: np.ndarray, spec: SigmaSpectrum, z_mod: float, opts: SolverOptions):
+def _inside(x: np.ndarray, spec: SigmaSpectrum, z_mod: float):
     """Support mask at real x > 0: the master equation at w = x has an admissible root."""
-    return solve_master_batch(x, spec, z_mod, opts)[4] > 0
+    return solve_master_batch(x, spec, z_mod)[4] > 0
 
 
 def _bisect_indicator(
@@ -338,18 +328,16 @@ def _bisect_indicator(
     lo_inside: np.ndarray,
     spec: SigmaSpectrum,
     z_mod: float,
-    opts: SolverOptions,
-    width: float = 1e-10,
     max_iter: int = 60,
 ):
     """Vectorized bisection of indicator sign changes on brackets [lo, hi]."""
     lo = lo.copy()
     hi = hi.copy()
     for _ in range(max_iter):
-        if np.all(hi - lo <= width * np.maximum(1.0, hi)):
+        if np.all(hi - lo <= BISECT_WIDTH * np.maximum(1.0, hi)):
             break
         mid = 0.5 * (lo + hi)
-        take_lo = _inside(mid, spec, z_mod, opts) == lo_inside
+        take_lo = _inside(mid, spec, z_mod) == lo_inside
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
     return 0.5 * (lo + hi)
@@ -389,68 +377,41 @@ def _refine_edge_newton(
     return float(u * u), float(np.real(m)), abs(complex(f)), abs(complex(fm)), float(np.real(fmm))
 
 
-def _real_m_outside(
-    E: float, spec: SigmaSpectrum, z_mod: float, opts: SolverOptions
-) -> float:
-    """m_c at a real point just off the support (real-valued branch)."""
-    m, _, _, _, _ = solve_master_batch(np.array([E + 1e-9j]), spec, z_mod, opts)
-    if not np.isfinite(m[0]):
-        from .master import _continuation_solve
-
-        mc, _ = _continuation_solve(complex(E, 1e-9), spec, z_mod, opts)
-        return float(np.real(mc))
-    return float(np.real(m[0]))
-
-
-@dataclass(frozen=True)
-class FindEdgesOptions:
-    scan_points: int = 2000
-    scan_max: float | None = None     # default 4 (s_1 + |z|^2 + 1)
-    grid_lo: float = 1e-6
-    bisect_width: float = 1e-10
-    tau: float = 0.05
-
-
 def find_edges(
     spec: SigmaSpectrum,
     z_mod: float,
-    opts: SolverOptions | None = None,
-    scan: FindEdgesOptions | None = None,
+    params: ModelParams = ModelParams(),
+    scan_points: int = 2000,
 ) -> SupportProfile:
     """Locate all support bands and edges of the limiting densities.
 
-    Scans the exact support test on a log-uniform grid, brackets each sign
-    change by bisection to relative width 1e-10, then refines nonzero edges
-    by the two-variable Newton iteration to |f| <= 1e-10, |df/dm| <= 1e-8.
-    Retries once at 4x resolution on inconsistent bracketing.
+    Scans the exact support test on scan_points log-uniform points of
+    [GRID_LO, 4 (s_1 + |z|^2 + 1)], brackets each sign change by bisection
+    to relative width BISECT_WIDTH, then refines nonzero edges by the
+    two-variable Newton iteration to |f| <= 1e-10, |df/dm| <= 1e-8. Retries
+    once at 4x resolution on inconsistent bracketing. params.check_z rejects
+    |z| in the excluded band around the unit circle.
     """
-    opts = opts or SolverOptions()
-    scan = scan or FindEdgesOptions()
-    opts.params.check_z(z_mod)
+    params.check_z(z_mod)
     spec.require_normalized()
-    scan_max = scan.scan_max or 4.0 * (spec.s[0] + z_mod * z_mod + 1.0)
+    scan_max = 4.0 * (spec.s[0] + z_mod * z_mod + 1.0)
 
     last_err: Exception | None = None
-    for attempt, pts in enumerate((scan.scan_points, 4 * scan.scan_points)):
+    for pts in (scan_points, 4 * scan_points):
         try:
-            return _find_edges_once(spec, z_mod, opts, pts, scan_max, scan)
+            return _find_edges_once(spec, z_mod, pts, scan_max)
         except BracketingError as exc:
             last_err = exc
     raise last_err  # type: ignore[misc]
 
 
 def _find_edges_once(
-    spec: SigmaSpectrum,
-    z_mod: float,
-    opts: SolverOptions,
-    scan_points: int,
-    scan_max: float,
-    scan: FindEdgesOptions,
+    spec: SigmaSpectrum, z_mod: float, scan_points: int, scan_max: float
 ) -> SupportProfile:
-    grid = np.exp(np.linspace(np.log(scan.grid_lo), np.log(scan_max), scan_points))
-    inside = _inside(grid, spec, z_mod, opts)
+    grid = np.exp(np.linspace(np.log(GRID_LO), np.log(scan_max), scan_points))
+    inside = _inside(grid, spec, z_mod)
     if inside[-1]:
-        raise BracketingError("support reaches the scan ceiling; enlarge scan_max")
+        raise BracketingError(f"support reaches the scan ceiling {scan_max:g}")
     if not np.any(inside):
         raise BracketingError("no support found on the scan grid")
 
@@ -459,7 +420,7 @@ def _find_edges_once(
     lo = grid[flips]
     hi = grid[flips + 1]
     lo_inside = inside[flips]
-    mids = _bisect_indicator(lo, hi, lo_inside, spec, z_mod, opts, scan.bisect_width)
+    mids = _bisect_indicator(lo, hi, lo_inside, spec, z_mod)
 
     # assemble bands in ascending order
     edges_asc: list[tuple[float, str]] = []
@@ -483,7 +444,11 @@ def _find_edges_once(
     for x, side in edges_asc:
         out_sign = -1.0 if side == "lower" else 1.0
         e_out = x * (1 + out_sign * 1e-6) + out_sign * 1e-12
-        m_start = _real_m_outside(e_out, spec, z_mod, opts)
+        # just above the real axis off the support, m is real to O(1e-9)
+        m_out = solve_master_batch(np.array([e_out + 1e-9j]), spec, z_mod)[0][0]
+        if not np.isfinite(m_out):
+            raise SolverError(f"no admissible root just outside the edge at {x}")
+        m_start = float(np.real(m_out))
         got = _refine_edge_newton(x, m_start, spec, z_mod)
         refined = False
         e_fin, m_fin, fabs, dfabs, d2f = x, m_start, np.inf, np.inf, np.nan
@@ -491,7 +456,7 @@ def _find_edges_once(
             e_new, m_new, fabs_new, dfabs_new, d2f_new = got
             # the bisected crossing sits within the bisection width of the
             # true edge; a jump beyond ~1e-6 means Newton escaped to another edge
-            if abs(e_new - x) <= max(1e-6 * max(1.0, x), 100 * scan.bisect_width):
+            if abs(e_new - x) <= max(1e-6 * max(1.0, x), 100 * BISECT_WIDTH):
                 e_fin, m_fin, fabs, dfabs, d2f = (
                     e_new, m_new, fabs_new, dfabs_new, d2f_new,
                 )
@@ -538,7 +503,7 @@ def _find_edges_once(
 
     zero_edge = None
     if touches_zero:
-        t = zero_edge_scale(spec, z_mod, scan.tau)
+        t = zero_edge_scale(spec, z_mod)
         zero_edge = ZeroEdgeInfo(
             t=t,
             rho1_amplitude=float(np.sqrt(t) / np.pi),
@@ -572,16 +537,14 @@ def check_bulk_regularity(
     z_mod: float,
     tau_prime: float,
     c: float,
-    opts: SolverOptions | None = None,
     grid_points: int = 200,
 ) -> bool:
     """True iff rho1 >= c on the band shrunk by tau_prime at both ends."""
-    opts = opts or SolverOptions()
     lo, hi = min(band), max(band)
     if hi - lo <= 2 * tau_prime:
         raise DomainError("band too narrow for the requested shrink")
     x = np.linspace(lo + tau_prime, hi - tau_prime, grid_points)
-    rho1, _, _, _ = density_batch(x, spec, z_mod, opts)
+    rho1, _, _, _ = density_batch(x, spec, z_mod)
     return bool(np.min(rho1) >= c)
 
 
@@ -589,7 +552,6 @@ def edge_exponent_fit(
     edge: EdgeInfo | ZeroEdgeInfo,
     spec: SigmaSpectrum,
     z_mod: float,
-    opts: SolverOptions | None = None,
     window: tuple[float, float] = (1e-4, 1e-2),
     n_points: int = 20,
 ) -> float:
@@ -597,7 +559,6 @@ def edge_exponent_fit(
 
     Regular nonzero edges give about +1/2; the zero edge gives about -1/2.
     """
-    opts = opts or SolverOptions()
     d = np.exp(np.linspace(np.log(window[0]), np.log(window[1]), n_points))
     if isinstance(edge, ZeroEdgeInfo):
         x = d
@@ -606,7 +567,7 @@ def edge_exponent_fit(
         x = edge.e + into * d
         if np.any(x <= 0):
             raise DomainError("fit window leaves the positive axis")
-    rho1, _, _, _ = density_batch(x, spec, z_mod, opts)
+    rho1, _, _, _ = density_batch(x, spec, z_mod)
     if np.any(rho1 <= 0):
         raise SolverError("density vanished inside the fit window")
     slope = np.polyfit(np.log(d), np.log(rho1), 1)[0]

@@ -9,9 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .density import compute_radial_profile, tabulate_density
-from .master import SolverOptions, density_batch, solve_master, verify_stieltjes
+from .master import density_batch, solve_master, verify_stieltjes
 from .montecarlo import EnsembleConfig, run_ensemble
-from .sigma import SigmaSpectrum, sigma_harmonic_mean
+from .sigma import ModelParams, SigmaSpectrum, sigma_harmonic_mean
 from .support import cubic_factorize, critical_points, find_edges, zero_edge_scale
 
 
@@ -26,12 +26,12 @@ def _identity_spec(K: int = 1000) -> SigmaSpectrum:
     return SigmaSpectrum(s=(1.0,), l=(K,), N=K, M=K)
 
 
-def check_mp(opts: SolverOptions) -> dict:
+def check_mp() -> dict:
     spec = _identity_spec()
     x = np.linspace(0.1, 3.9, 229)
-    _, rho2, _, _ = density_batch(x, spec, 0.0, opts)
+    _, rho2, _, _ = density_batch(x, spec, 0.0)
     err = float(np.max(np.abs(rho2 - _mp_density(x))))
-    profile = find_edges(spec, 0.0, opts)
+    profile = find_edges(spec, 0.0)
     lo, hi = profile.bands_ascending[0]
     return {
         "passed": err <= 1e-6 and lo == 0.0 and abs(hi - 4.0) <= 1e-8,
@@ -40,7 +40,7 @@ def check_mp(opts: SolverOptions) -> dict:
     }
 
 
-def check_invariants(opts: SolverOptions, n_cases: int = 25, seed: int = 7) -> dict:
+def check_invariants(n_cases: int = 25, seed: int = 7) -> dict:
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(n_cases):
@@ -71,7 +71,7 @@ def check_invariants(opts: SolverOptions, n_cases: int = 25, seed: int = 7) -> d
             and np.all((fac.B > 0) & (fac.B <= 2 * (s_arr + z2 + u * z) / w))
             and np.all((fac.C > 0) & (fac.C <= (s_arr + z2 + u * z) / w))
         )
-        cps = critical_points(w, spec, z, opts)
+        cps = critical_points(w, spec, z)
         ok = ok and cps.occupancy_ok(spec.n) and cps.ordering_ok
         hv = cps.critical_values
         ok = ok and np.all(np.abs(hv + u) <= cps.value_bound)
@@ -80,10 +80,10 @@ def check_invariants(opts: SolverOptions, n_cases: int = 25, seed: int = 7) -> d
     return {"passed": violations == 0, "violations": violations, "cases": n_cases}
 
 
-def check_small_w(opts: SolverOptions) -> dict:
+def check_small_w() -> dict:
     spec = SigmaSpectrum(s=(32 / 17, 2 / 17), l=(500, 500), N=1000, M=1000)
     t = zero_edge_scale(spec, 0.5)
-    sol = solve_master(1e-8 * (1 + 1j), spec, 0.5, opts)
+    sol = solve_master(1e-8 * (1 + 1j), spec, 0.5)
     gap = abs(sol.m_c - 1j * np.sqrt(t))
     t_small = zero_edge_scale(spec, 0.01)
     t0 = sigma_harmonic_mean(spec)
@@ -95,20 +95,20 @@ def check_small_w(opts: SolverOptions) -> dict:
     }
 
 
-def check_stieltjes(opts: SolverOptions) -> dict:
+def check_stieltjes() -> dict:
     spec = SigmaSpectrum(s=(32 / 17, 2 / 17), l=(500, 500), N=1000, M=1000)
     rng = np.random.default_rng(3)
     worst = 0.0
     for z in (0.5, 1.5):
-        table = tabulate_density(spec, z, resolution=1500, opts=opts)
+        table = tabulate_density(spec, z, resolution=1500)
         w = rng.uniform(0.2, 6.0, 5) + 1j * rng.uniform(0.1, 1.0, 5)
-        worst = max(worst, verify_stieltjes(table, w, spec, z, opts))
+        worst = max(worst, verify_stieltjes(table, w, spec, z))
     return {"passed": worst <= 1e-4, "max_rel_dev": worst}
 
 
-def check_circular(opts: SolverOptions, args=None) -> dict:
+def check_circular(params: ModelParams) -> dict:
     spec = _identity_spec()
-    prof = compute_radial_profile(spec, 0.1, 2.0, h=0.005, opts=opts)
+    prof = compute_radial_profile(spec, 0.1, 2.0, h=0.005, params=params)
     inside = (prof.r >= 0.1) & (prof.r <= 0.85)
     outside = (prof.r >= 1.15) & (prof.r <= 2.0)
     chi_in = prof.chi[inside]
@@ -127,7 +127,7 @@ def check_circular(opts: SolverOptions, args=None) -> dict:
     }
 
 
-def check_esd(opts: SolverOptions, args) -> dict:
+def check_esd(args) -> dict:
     spec = SigmaSpectrum(s=(32 / 17, 2 / 17), l=(500, 500), N=1000, M=1000)
     N = args.N or 400
     scale = N // 2
@@ -138,7 +138,7 @@ def check_esd(opts: SolverOptions, args) -> dict:
         z_list=(complex(z),), runs=args.runs, seed=args.seed, threads=args.threads,
     )
     runs = run_ensemble(cfg)
-    table = tabulate_density(spec, z, resolution=1500, opts=opts)
+    table = tabulate_density(spec, z, resolution=1500)
     xs = np.linspace(table.bands[0][0], table.bands[-1][1], 600)
     cdf = table.cdf2(xs)
     devs = []
@@ -151,24 +151,23 @@ def check_esd(opts: SolverOptions, args) -> dict:
     return {"passed": med <= thr, "median_sup_dev": med, "threshold": thr}
 
 
-def run_suite(name: str, opts: SolverOptions, args) -> dict[str, dict]:
+def run_suite(name: str, params: ModelParams, args) -> dict[str, dict]:
     if name == "quick":
         return run_selfcheck()
     table = {
-        "mp": lambda: {"mp": check_mp(opts)},
-        "invariants": lambda: {"invariants": check_invariants(opts)},
-        "small-w": lambda: {"small_w": check_small_w(opts)},
-        "stieltjes": lambda: {"stieltjes": check_stieltjes(opts)},
-        "circular-law": lambda: {"circular_law": check_circular(opts, args)},
-        "esd": lambda: {"esd": check_esd(opts, args)},
+        "mp": lambda: {"mp": check_mp()},
+        "invariants": lambda: {"invariants": check_invariants()},
+        "small-w": lambda: {"small_w": check_small_w()},
+        "stieltjes": lambda: {"stieltjes": check_stieltjes()},
+        "circular-law": lambda: {"circular_law": check_circular(params)},
+        "esd": lambda: {"esd": check_esd(args)},
     }
     return table[name]()
 
 
 def run_selfcheck() -> dict[str, dict]:
-    opts = SolverOptions()
     out = {}
-    out["mp"] = check_mp(opts)
-    out["invariants"] = check_invariants(opts, n_cases=10)
-    out["small_w"] = check_small_w(opts)
+    out["mp"] = check_mp()
+    out["invariants"] = check_invariants(n_cases=10)
+    out["small_w"] = check_small_w()
     return out

@@ -41,11 +41,6 @@ def many_spec():
 
 
 @pytest.fixture(scope="session")
-def opts():
-    return txlaw.SolverOptions()
-
-
-@pytest.fixture(scope="session")
 def identity_radial_profile(identity_spec):
     return txlaw.compute_radial_profile(identity_spec, 0.1, 2.0, h=0.005)
 
@@ -97,6 +92,28 @@ def _dyson_system(a, b, sig, spec, z):
     dsig = -np.array([np.dot(wts, (z2 + p * p) / D2),
                       np.dot(wts * s, (z2 + q * q) / D2)])
     return res, jac, dsig
+
+
+def dyson_transforms(w, spec, z):
+    """(m1, m2) at w in the upper half-plane from the Dyson system alone.
+
+    Newton on `_dyson_system` in (a, b) at sig = Re sqrt(w) + i e, continued
+    from e = max(1, Im sqrt(w)), where -1/sig starts it on the upper-half-plane
+    solution, down to e = Im sqrt(w). Then m1 = b / sqrt(w), m2 = a / sqrt(w).
+    """
+    root = np.sqrt(complex(w))
+    top = max(1.0, root.imag)
+    u = np.full(2, -1 / complex(root.real, top))
+    for e in np.geomspace(top, root.imag, 60):
+        for _ in range(50):
+            res, jac, _ = _dyson_system(u[0], u[1], complex(root.real, e), spec, z)
+            step = np.linalg.solve(jac, res)
+            u = u - step
+            if np.max(np.abs(step)) <= 1e-14 * (1 + np.max(np.abs(u))):
+                break
+        else:
+            raise AssertionError(f"Dyson continuation stalled at Im sig = {e}")
+    return u[1] / root, u[0] / root
 
 
 def _dyson_density(spec, z, sig):

@@ -232,3 +232,19 @@ def test_commands_run_without_scipy(tmp_path, fig2_file):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     edges = json.loads((tmp_path / "outedges" / "edges.json").read_text())
     assert edges["zero_edge"]["t"] > 0
+
+
+@pytest.mark.parametrize("script, args", [
+    ("density_scan.py", ["--z", "0.5", "--resolution", "200"]),
+    ("radial_demo.py", ["--step", "0.01"]),
+    ("ensemble_check.py", ["--N", "100", "--runs", "2"]),
+])
+def test_scripts_run(tmp_path, script, args):
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(txlaw.__file__).resolve().parent.parent)
+    if script != "ensemble_check.py":
+        args = args + ["--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

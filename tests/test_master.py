@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import txlaw
 from txlaw.errors import DomainError, SolverError, TableTooCoarseError, TxlawError
-from txlaw.master import _arrowhead, _continuation_solve
+from txlaw.master import _arrowhead
 from txlaw.sigma import MERGE_RTOL
-from conftest import mp_density, mp_stieltjes
+from conftest import dyson_transforms, mp_density, mp_stieltjes
 
 
 def _cardano_real_roots(c3, c2, c1, c0):
@@ -342,10 +342,26 @@ def test_empty_batch(fig2_spec):
         assert all(v.size == 0 for v in txlaw.density_batch(np.array([]), fig2_spec, z))
 
 
-def test_residual_above_tolerance_raises(fig2_spec):
+def test_residual_above_tolerance_raises(fig2_spec, monkeypatch):
+    monkeypatch.setattr(txlaw.master, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolverError):
-        txlaw.solve_master_batch(np.array([2.0 + 0.5j]), fig2_spec, 1.5,
-                                 txlaw.SolverOptions(residual_tol=0.0))
+        txlaw.solve_master_batch(np.array([2.0 + 0.5j]), fig2_spec, 1.5)
+
+
+def test_admissible_root_everywhere_above_the_axis(fig2_spec, many_spec):
+    # one solve path: every w with Im w > 0 has an admissible root, down to
+    # Im w = 1e-15 and outside the support; only a real w off the support has none
+    rng = np.random.default_rng(40)
+    random40, _ = txlaw.normalize_spectrum(rng.uniform(0.2, 4.0, 40), [5] * 40, 200, 200)
+    assert random40.n == 40
+    for spec in (fig2_spec, many_spec, random40):
+        for z in (0.0, 0.5, 1.5):
+            w = rng.uniform(-2.0, 30.0, 200) + 1j * 10.0 ** rng.uniform(-15, np.log10(3), 200)
+            _, _, _, resid, ncand = txlaw.solve_master_batch(w, spec, z)
+            assert np.all(ncand >= 1)
+            assert np.max(resid) <= 1e-12
+    with pytest.raises(SolverError):
+        txlaw.solve_master(12.0, fig2_spec, 1.5)
 
 
 def test_tiny_z_takes_the_degenerate_poles():
@@ -386,9 +402,9 @@ def test_solve_master_batch_properties(spec, z, re_w, im_w):
     w = np.array([complex(re_w, im_w)])
     try:
         m, m1, m2, resid, ncand = txlaw.solve_master_batch(w, spec, z)
-        mc, _ = _continuation_solve(complex(w[0]), spec, z, txlaw.SolverOptions())
     except TxlawError:
         return
+    mc = complex(txlaw.sqrt_upper(w[0])) * (1 + dyson_transforms(w[0], spec, z)[0])
     assert ncand[0] >= 1
     assert m1[0].imag > 0 and (w[0] * m1[0]).imag > 0
     assert np.array_equal(m2, txlaw.m2_from_m1(m1, w, z))
