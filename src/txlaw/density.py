@@ -270,7 +270,7 @@ def tabulate_density(
                 [0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GL_XI for (t0, t1) in pending]
             )
             x_cat = np.maximum(_x_of_theta(lo, hi, th_cat), 1e-300)
-            rho1, rho2, _, _ = density_batch(x_cat, spec, z_mod)
+            rho1, rho2 = density_batch(x_cat, spec, z_mod)
             nxt: list[tuple[float, float]] = []
             for k, (t0, t1) in enumerate(pending):
                 sl = slice(k * GL_ORDER, (k + 1) * GL_ORDER)

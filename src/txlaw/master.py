@@ -362,27 +362,21 @@ def cubic_factorize(w: float, spec: SigmaSpectrum, z_mod: float) -> CubicFactori
 # ---------------------------------------------------------------------------
 
 def density_batch(x, spec: SigmaSpectrum, z_mod: float):
-    """(rho1, rho2, err1, err2) at positive x, solved at w = x on the real axis.
+    """(rho1, rho2) at positive x, solved at w = x on the real axis.
 
     Inside the support the real arrowhead has one conjugate pair of roots;
     its admissible member gives rho = Im m / pi. Outside the support no root
-    is admissible and rho = 0. err1 and err2 are the change in rho1 and rho2
-    over one further Newton step from the returned root.
+    is admissible and rho = 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise DomainError("density_batch needs x > 0")
-    m, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod)
+    _, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod)
     ok = ncand > 0
-    rho1, rho2, err1, err2 = (np.zeros(x.shape) for _ in range(4))
-    xo, m1o, m2o = x[ok], m1[ok], m2[ok]
-    f, fm = _f_fm(_atom_cubics(xo, m[ok], spec, z_mod))[:2]
-    m1n = m1o - f / fm / np.sqrt(xo)
-    rho1[ok] = m1o.imag / np.pi
-    rho2[ok] = m2o.imag / np.pi
-    err1[ok] = np.abs(m1n.imag - m1o.imag) / np.pi
-    err2[ok] = np.abs(m2_from_m1(m1n, xo, z_mod).imag - m2o.imag) / np.pi
-    return rho1, rho2, err1, err2
+    rho1, rho2 = np.zeros(x.shape), np.zeros(x.shape)
+    rho1[ok] = m1[ok].imag / np.pi
+    rho2[ok] = m2[ok].imag / np.pi
+    return rho1, rho2
 
 
 def verify_stieltjes(

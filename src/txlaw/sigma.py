@@ -81,17 +81,6 @@ class SigmaSpectrum:
         """Eigenvalues with multiplicity, descending, length K."""
         return np.repeat(np.asarray(self.s), np.asarray(self.l, dtype=int))
 
-    def validate_margins(self, tau: float) -> None:
-        """Check the regularity margins: tau <= s_n, s_1 <= 1/tau, tau <= M/N <= 1/tau."""
-        if self.s[-1] < tau or self.s[0] > 1.0 / tau:
-            raise DomainError(
-                f"eigenvalues [{self.s[-1]}, {self.s[0]}] escape the margin "
-                f"[{tau}, {1 / tau}]"
-            )
-        ratio = self.M / self.N
-        if not (tau <= ratio <= 1.0 / tau):
-            raise DomainError(f"aspect ratio M/N = {ratio} escapes [{tau}, {1 / tau}]")
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -11,13 +11,14 @@ scale t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketingError, DomainError, SolverError
 from .linalg import arrowhead_derivative_eigvals, symmetric_eigvals
-from .master import cubic_factorize, density_batch, master_f_all, solve_master_batch
+from .master import _arrowhead, density_batch, master_f_all, solve_master_batch
 from .sigma import ModelParams, SigmaSpectrum, sigma_harmonic_mean
 
 EDGE_F_TOL = 1e-10
@@ -35,18 +36,15 @@ ZERO_EDGE_TAU = 0.05    # the zero edge needs |z|^2 <= 1 - ZERO_EDGE_TAU
 class CriticalPointSet:
     """Critical points of the master function over the real m axis at real w > 0.
 
-    poles_pos holds the 2n positive poles (all b_i then a_i, sorted), poles_neg
-    the n negative-pole magnitudes (c_i, sorted). points is a list of
-    (m_location, critical_value, interval_index) with intervals indexed
-    -n..2n as the gaps between consecutive poles. Occupancy must be exactly 1
-    in the two unbounded intervals and 0 or 2 in every bounded one; critical
-    values weakly descend with m.
+    points is a tuple of (m_location, critical_value, interval_index) with
+    intervals indexed -n..2n as the gaps between consecutive poles of f (n
+    negative, 2n positive). Occupancy must be exactly 1 in the two unbounded
+    intervals and 0 or 2 in every bounded one; critical values weakly descend
+    with m.
     """
 
     w: float
     z_mod: float
-    poles_pos: np.ndarray
-    poles_neg: np.ndarray
     points: tuple[tuple[float, float, int], ...]
     occupancy: dict[int, int]
     ordering_ok: bool
@@ -70,62 +68,39 @@ def critical_points(w: float, spec: SigmaSpectrum, z_mod: float) -> CriticalPoin
     """All real critical points of f at real w > 0, with occupancy checks.
 
     They are the real eigenvalues of the Jordan-block linearization of df/dm
-    built on f's arrowhead data (arrowhead_derivative_eigvals), each polished
-    by Newton steps on df/dm.
+    built on f's arrowhead data (arrowhead_derivative_eigvals), polished
+    together by Newton steps on df/dm.
     """
     if w <= 0:
         raise DomainError("critical_points needs w > 0")
-    if z_mod <= 0:
-        raise DomainError("critical_points needs |z| > 0")
-    fac = cubic_factorize(w, spec, z_mod)
-    poles_pos = np.sort(np.concatenate([fac.b, fac.a]))
-    poles_neg = np.sort(fac.c)
-    # f's arrowhead data: residues c_i (A, B, C) at the poles (a, b, -c)
-    c = spec.weights * np.asarray(spec.s)
-    rho = np.concatenate([fac.A * c, fac.B * c, fac.C * c])
-    pi = np.concatenate([fac.a, fac.b, -fac.c])
-    roots = arrowhead_derivative_eigvals(rho[None], pi[None])[0]
-    scale = max(1.0, poles_pos.max())
-    cand = roots[np.abs(roots.imag) < 1e-7 * scale].real
-    # polish on df/dm and deduplicate
-    polished = []
-    for m0 in np.sort(cand):
-        m = m0
-        for _ in range(40):
-            _, fm, fmm, _, _ = master_f_all(w, m, spec, z_mod)
-            if abs(fmm) < 1e-300:
-                break
-            step = (fm / fmm).real
-            m -= step
-            if abs(step) < 1e-14 * max(1.0, abs(m)):
-                break
-        _, fm, _, _, _ = master_f_all(w, m, spec, z_mod)
-        if abs(fm) > 1e-7:
-            continue
-        polished.append(float(np.real(m)))
-    all_poles = np.concatenate([-poles_neg, poles_pos])
-    points = []
-    for m in polished:
-        if np.min(np.abs(all_poles - m)) < 1e-8 * scale:
-            continue
-        if any(abs(m - p[0]) < 1e-9 * scale for p in points):
-            continue
-        k = int(np.searchsorted(poles_pos, m))
-        if m < -poles_neg[-1]:
-            idx = -spec.n
-        elif m < poles_pos[0]:
-            jneg = int(np.searchsorted(-poles_neg[::-1], m))
-            idx = -(spec.n - jneg)
-        else:
-            idx = k
-        f, _, _, _, _ = master_f_all(w, m, spec, z_mod)
-        points.append((m, float(np.real(f)), idx))
-    pts = tuple(sorted(points, key=lambda p: -p[0]))
-    hvals = np.array([p[1] for p in pts])
-    ordering_ok = bool(np.all(np.diff(hvals) <= 1e-9 * (1 + np.abs(hvals[:-1]))))
-    occupancy: dict[int, int] = {}
-    for _, _, idx in pts:
-        occupancy[idx] = occupancy.get(idx, 0) + 1
+    if z_mod <= 0 or (z_mod * z_mod) * (z_mod * z_mod) < np.finfo(float).tiny:
+        raise DomainError("critical_points needs |z| > 0 with |z|^4 a normal double")
+    _, rho, pi = _arrowhead(np.array([np.sqrt(w)]), spec, z_mod)
+    roots = arrowhead_derivative_eigvals(rho, pi)[0]
+    pi = np.sort(pi[0])
+    scale = max(1.0, pi[-1])
+    m = roots[np.abs(roots.imag) < 1e-7 * scale].real
+    # Newton on df/dm; a point stops once its step is below 1e-14 relative
+    active = np.ones(m.shape, dtype=bool)
+    for _ in range(40):
+        _, fm, fmm, _, _ = master_f_all(w, m, spec, z_mod)
+        active &= np.abs(fmm) >= 1e-300
+        step = np.where(active, (fm / fmm).real, 0.0)
+        m = m - step
+        active &= np.abs(step) >= 1e-14 * np.maximum(1.0, np.abs(m))
+        if not active.any():
+            break
+    f, fm = (np.real(v) for v in master_f_all(w, m, spec, z_mod)[:2])
+    # drop unconverged points and points on a pole, then duplicates
+    keep = (np.abs(fm) <= 1e-7) & (np.min(np.abs(m[:, None] - pi), axis=1) >= 1e-8 * scale)
+    order = np.argsort(m[keep])
+    m, f = m[keep][order], f[keep][order]
+    keep = np.diff(m, prepend=-np.inf) >= 1e-9 * scale
+    m, f = m[keep][::-1], f[keep][::-1]
+    idx = np.searchsorted(pi, m) - spec.n
+    pts = tuple(zip(m.tolist(), f.tolist(), idx.tolist()))
+    ordering_ok = bool(np.all(np.diff(f) <= 1e-9 * (1 + np.abs(f[:-1]))))
+    occupancy = dict(Counter(idx.tolist()))
     u = np.sqrt(w)
     s1 = spec.s[0]
     z2 = z_mod * z_mod
@@ -136,8 +111,6 @@ def critical_points(w: float, spec: SigmaSpectrum, z_mod: float) -> CriticalPoin
     cps = CriticalPointSet(
         w=float(w),
         z_mod=z_mod,
-        poles_pos=poles_pos,
-        poles_neg=poles_neg,
         points=pts,
         occupancy=occupancy,
         ordering_ok=ordering_ok,
@@ -263,25 +236,11 @@ class SupportProfile:
         }
 
 
-def support_indicator(
-    E: float, spec: SigmaSpectrum, z_mod: float, diagnostics: bool = False
-) -> bool:
-    """True iff an admissible root exists at real w = E (exact support test);
-    optional cross-check against the critical-value sign test."""
+def support_indicator(E: float, spec: SigmaSpectrum, z_mod: float) -> bool:
+    """True iff an admissible root exists at real w = E (exact support test)."""
     if E <= 0:
         raise DomainError("support_indicator needs E > 0")
-    inside = bool(_inside(np.array([E]), spec, z_mod)[0])
-    if diagnostics and z_mod > 0:
-        cv = support_indicator_by_critical_values(E, spec, z_mod)
-        if cv != inside:
-            import warnings
-
-            warnings.warn(
-                f"support tests disagree at E={E}: roots say {inside}, "
-                f"critical values say {cv}",
-                stacklevel=2,
-            )
-    return inside
+    return bool(_inside(np.array([E]), spec, z_mod)[0])
 
 
 def zero_edge_scale(spec: SigmaSpectrum, z_mod: float) -> float:
@@ -439,8 +398,8 @@ def _find_edges_once(
     if any(b[0] >= b[1] for b in bands_asc):
         raise BracketingError("band assembly failed; grid too coarse")
 
-    # refine nonzero edges
-    refined_edges: list[EdgeInfo] = []
+    # refine nonzero edges: (e, m_c, d2f, pole_distance, side, refined)
+    refined_edges = []
     for x, side in edges_asc:
         out_sign = -1.0 if side == "lower" else 1.0
         e_out = x * (1 + out_sign * 1e-6) + out_sign * 1e-12
@@ -451,51 +410,32 @@ def _find_edges_once(
         m_start = float(np.real(m_out))
         got = _refine_edge_newton(x, m_start, spec, z_mod)
         refined = False
-        e_fin, m_fin, fabs, dfabs, d2f = x, m_start, np.inf, np.inf, np.nan
+        e_fin, m_fin, d2f = x, m_start, np.nan
         if got is not None:
-            e_new, m_new, fabs_new, dfabs_new, d2f_new = got
+            e_new, m_new, fabs, dfabs, d2f_new = got
             # the bisected crossing sits within the bisection width of the
             # true edge; a jump beyond ~1e-6 means Newton escaped to another edge
             if abs(e_new - x) <= max(1e-6 * max(1.0, x), 100 * BISECT_WIDTH):
-                e_fin, m_fin, fabs, dfabs, d2f = (
-                    e_new, m_new, fabs_new, dfabs_new, d2f_new,
-                )
+                e_fin, m_fin, d2f = e_new, m_new, d2f_new
                 refined = fabs <= EDGE_F_TOL and dfabs <= EDGE_DF_TOL
-        if z_mod > 0:
-            fac = cubic_factorize(e_fin, spec, z_mod)
-            pole_distance = float(
-                min(
-                    np.min(np.abs(m_fin - fac.a)),
-                    np.min(np.abs(m_fin - fac.b)),
-                    np.min(np.abs(m_fin + fac.c)),
-                )
-            )
-        else:
-            pole_distance = float(
-                np.min(np.abs(m_fin - np.asarray(spec.s) / np.sqrt(e_fin)))
-            )
-        refined_edges.append(
-            EdgeInfo(
-                e=e_fin,
-                m_c=m_fin,
-                d2f=d2f,
-                pole_distance=pole_distance,
-                neighbor_gap=np.inf,
-                side=side,
-                refined=refined,
-            )
-        )
+        pi = _arrowhead(np.array([np.sqrt(e_fin)]), spec, z_mod)[2]
+        pole_distance = float(np.min(np.abs(m_fin - pi)))
+        refined_edges.append((e_fin, m_fin, d2f, pole_distance, side, refined))
 
     # rebuild bands with refined endpoints; each edge's gap is to the nearest
     # other refined edge, or to 0 where the lowest band reaches it
     zero = [0.0] if touches_zero else []
-    ref_pos = [ed.e for ed in refined_edges]
+    ref_pos = [ed[0] for ed in refined_edges]
     band_edges = zero + ref_pos
-    refined_edges = [
-        replace(ed, neighbor_gap=float(min(
-            (abs(ed.e - y) for y in zero + ref_pos[:k] + ref_pos[k + 1:]), default=np.inf
-        )))
-        for k, ed in enumerate(refined_edges)
+    edges = [
+        EdgeInfo(
+            e=e, m_c=m_c, d2f=d2f, pole_distance=pole_distance,
+            neighbor_gap=float(min(
+                (abs(e - y) for y in zero + ref_pos[:k] + ref_pos[k + 1:]), default=np.inf
+            )),
+            side=side, refined=refined,
+        )
+        for k, (e, m_c, d2f, pole_distance, side, refined) in enumerate(refined_edges)
     ]
     bands_asc = [
         (band_edges[i], band_edges[i + 1]) for i in range(0, len(band_edges), 2)
@@ -513,7 +453,7 @@ def _find_edges_once(
     return SupportProfile(
         z_mod=z_mod,
         bands=tuple(sorted(bands_asc, reverse=True)),
-        edges=tuple(sorted(refined_edges, key=lambda e: -e.e)),
+        edges=tuple(sorted(edges, key=lambda e: -e.e)),
         zero_edge=zero_edge,
         scan_points=scan_points,
         scan_max=scan_max,
@@ -544,7 +484,7 @@ def check_bulk_regularity(
     if hi - lo <= 2 * tau_prime:
         raise DomainError("band too narrow for the requested shrink")
     x = np.linspace(lo + tau_prime, hi - tau_prime, grid_points)
-    rho1, _, _, _ = density_batch(x, spec, z_mod)
+    rho1, _ = density_batch(x, spec, z_mod)
     return bool(np.min(rho1) >= c)
 
 
@@ -567,7 +507,7 @@ def edge_exponent_fit(
         x = edge.e + into * d
         if np.any(x <= 0):
             raise DomainError("fit window leaves the positive axis")
-    rho1, _, _, _ = density_batch(x, spec, z_mod)
+    rho1, _ = density_batch(x, spec, z_mod)
     if np.any(rho1 <= 0):
         raise SolverError("density vanished inside the fit window")
     slope = np.polyfit(np.log(d), np.log(rho1), 1)[0]

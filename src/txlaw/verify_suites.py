@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .density import compute_radial_profile, tabulate_density
-from .master import density_batch, solve_master, verify_stieltjes
+from .master import cubic_factorize, density_batch, solve_master, verify_stieltjes
 from .montecarlo import EnsembleConfig, run_ensemble
 from .sigma import ModelParams, SigmaSpectrum, sigma_harmonic_mean
-from .support import cubic_factorize, critical_points, find_edges, zero_edge_scale
+from .support import critical_points, find_edges, zero_edge_scale
 
 
 def _mp_density(x: np.ndarray) -> np.ndarray:
@@ -29,7 +29,7 @@ def _identity_spec(K: int = 1000) -> SigmaSpectrum:
 def check_mp() -> dict:
     spec = _identity_spec()
     x = np.linspace(0.1, 3.9, 229)
-    _, rho2, _, _ = density_batch(x, spec, 0.0)
+    _, rho2 = density_batch(x, spec, 0.0)
     err = float(np.max(np.abs(rho2 - _mp_density(x))))
     profile = find_edges(spec, 0.0)
     lo, hi = profile.bands_ascending[0]

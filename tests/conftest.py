@@ -192,3 +192,25 @@ def dyson_gap_edge(spec, z):
             f"{above:.1e} above"
         )
     return float(sig * sig)
+
+
+def bisect_g_oracle(spec, z, lo=-64.0, hi=0.0, iters=200):
+    """Zero-edge scale t by plain bisection on the decreasing auxiliary g;
+    its root is -t."""
+    z2 = z * z
+    s = np.asarray(spec.s)
+    wts = spec.weights
+
+    def g(x):
+        return 1.0 + np.dot(wts * s, (x - z2) / (-(s + z2) * x + z2 * z2))
+
+    while g(lo) <= 0:
+        lo *= 2
+    a, b = lo, hi
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        if g(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    return -0.5 * (a + b)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import txlaw
-from conftest import dyson_gap_edge, mp_density
+from conftest import bisect_g_oracle, dyson_gap_edge, mp_density
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -21,31 +21,10 @@ def _fig2_at(K: int) -> txlaw.SigmaSpectrum:
     return txlaw.SigmaSpectrum(s=(32 / 17, 2 / 17), l=(K // 2, K // 2), N=K, M=K)
 
 
-def bisect_g_oracle(spec, z, lo=-64.0, hi=0.0, iters=200):
-    """Independent oracle: plain bisection on the decreasing auxiliary g."""
-    z2 = z * z
-    s = np.asarray(spec.s)
-    wts = spec.weights
-
-    def g(x):
-        return 1.0 + np.dot(wts * s, (x - z2) / (-(s + z2) * x + z2 * z2))
-
-    while g(lo) <= 0:
-        lo *= 2
-    a, b = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if g(mid) > 0:
-            a = mid
-        else:
-            b = mid
-    return -0.5 * (a + b)
-
-
 def test_criterion_01_mp_oracle(identity_spec):
     t0 = time.perf_counter()
     x = np.linspace(0.1, 3.9, 381)
-    _, rho2, _, _ = txlaw.density_batch(x, identity_spec, 0.0)
+    _, rho2 = txlaw.density_batch(x, identity_spec, 0.0)
     err = float(np.max(np.abs(rho2 - mp_density(x))))
     prof = txlaw.find_edges(identity_spec, 0.0)
     lo, hi = prof.bands_ascending[0]

@@ -238,11 +238,12 @@ def test_commands_run_without_scipy(tmp_path, fig2_file):
     ("density_scan.py", ["--z", "0.5", "--resolution", "200"]),
     ("radial_demo.py", ["--step", "0.01"]),
     ("ensemble_check.py", ["--N", "100", "--runs", "2"]),
+    ("output_digest.py", ["digest"]),
 ])
 def test_scripts_run(tmp_path, script, args):
     root = Path(__file__).resolve().parent.parent
     src = str(Path(txlaw.__file__).resolve().parent.parent)
-    if script != "ensemble_check.py":
+    if script in ("density_scan.py", "radial_demo.py"):
         args = args + ["--out", str(tmp_path / "out")]
     proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
                           capture_output=True, text=True, cwd=tmp_path,

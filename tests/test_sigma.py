@@ -99,10 +99,7 @@ def test_harmonic_mean_values(fig2_spec):
     assert txlaw.sigma_harmonic_mean(spec) == pytest.approx(16 / 25)
 
 
-def test_margin_checks(fig2_spec):
-    fig2_spec.validate_margins(0.05)
-    with pytest.raises(DomainError):
-        fig2_spec.validate_margins(0.2)  # 2/17 < 0.2
+def test_margin_checks():
     params = txlaw.ModelParams()
     params.check_z(1.5)
     params.check_z(0.0)

@@ -1,7 +1,5 @@
 """Support bands, edges, critical points, regularity and the zero-edge scale."""
 
-import warnings
-
 import mpmath
 import numpy as np
 import pytest
@@ -9,28 +7,7 @@ import pytest
 import txlaw
 from txlaw import support
 from txlaw.errors import DomainError, SolverError
-from conftest import dyson_gap_edge
-
-
-def bisect_g_oracle(spec, z, lo=-64.0, hi=0.0, iters=200):
-    """Plain bisection on the auxiliary decreasing function g; root is -t."""
-    z2 = z * z
-    s = np.asarray(spec.s)
-    wts = spec.weights
-
-    def g(x):
-        return 1.0 + np.dot(wts * s, (x - z2) / (-(s + z2) * x + z2 * z2))
-
-    while g(lo) <= 0:
-        lo *= 2
-    a, b = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if g(mid) > 0:
-            a = mid
-        else:
-            b = mid
-    return -0.5 * (a + b)
+from conftest import bisect_g_oracle, dyson_gap_edge
 
 
 def mp_zero_edge_root(spec, z, dps=40):
@@ -102,33 +79,13 @@ def test_critical_points_grid_many_atoms(many_spec):
 
 def test_indicator_agreement(fig2_spec):
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        E = float(rng.uniform(0.05, 12.0))
-        z = float(rng.choice([0.5, 1.2, 1.5]))
-        by_density = txlaw.support_indicator(E, fig2_spec, z)
-        from txlaw.support import support_indicator_by_critical_values
-
-        assert by_density == support_indicator_by_critical_values(E, fig2_spec, z)
-
-
-CROSS_CHECK_POINTS = ((4.0, 1.5), (0.001, 1.5), (30.0, 0.5), (1.0, 0.5), (2.0, 0.5))
-
-
-def test_support_cross_check_silent_when_tests_agree(fig2_spec):
-    for E, z in CROSS_CHECK_POINTS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            inside = txlaw.support_indicator(E, fig2_spec, z, diagnostics=True)
-        assert inside == support.support_indicator_by_critical_values(E, fig2_spec, z)
-
-
-def test_support_cross_check_warns_on_disagreement(fig2_spec, monkeypatch):
-    real = support.support_indicator_by_critical_values
-    monkeypatch.setattr(support, "support_indicator_by_critical_values",
-                        lambda E, spec, z: not real(E, spec, z))
-    for E, z in CROSS_CHECK_POINTS:
-        with pytest.warns(UserWarning, match="support tests disagree"):
-            txlaw.support_indicator(E, fig2_spec, z, diagnostics=True)
+    points = [(float(rng.uniform(0.05, 12.0)), float(rng.choice([0.5, 1.2, 1.5])))
+              for _ in range(25)]
+    # far below and far above the random draws
+    points += [(4.0, 1.5), (0.001, 1.5), (30.0, 0.5), (1.0, 0.5), (2.0, 0.5)]
+    for E, z in points:
+        assert (txlaw.support_indicator(E, fig2_spec, z)
+                == support.support_indicator_by_critical_values(E, fig2_spec, z))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +131,17 @@ def test_two_band_spectrum(twoband_spec):
         # bands descending and disjoint
         (a_lo, a_hi), (b_lo, b_hi) = prof.bands
         assert a_lo > b_hi
+
+
+@pytest.mark.parametrize("z", [1e-100, 1e-80])
+def test_tiny_z_edges_are_those_of_zero(fig2_spec, many_spec, z):
+    # |z|^4 underflows: the arrowhead takes the |z| = 0 poles
+    for spec in (fig2_spec, many_spec):
+        at_zero = txlaw.find_edges(spec, 0.0)
+        prof = txlaw.find_edges(spec, z)
+        assert prof.bands == at_zero.bands
+        assert ([ed.pole_distance for ed in prof.edges]
+                == [ed.pole_distance for ed in at_zero.edges])
 
 
 def test_support_indicator_examples(fig2_spec, identity_spec):
