@@ -5,11 +5,13 @@
 
 Writes a fig2 spectrum (s = 32/17, 2/17, N = M = 200) and a ten-value
 spectrum given as raw `d` with `normalize = true` (K = 200) to OUTDIR, then
-runs through `txlaw.cli.main`, at default sizes:
+runs through `txlaw.cli.main`:
 
 - `edges`, `density` and `quantiles` on both at |z| = 0.5, 1.2 and 1.5,
-  and `edges` at |z| = 0;
-- `chi` on fig2;
+  once at the default `--grid` and once at `--grid 200` (there the table
+  splits segments on fig2 at |z| = 1.2 and 1.5, which the default one
+  does not); and `edges` at |z| = 0;
+- `chi` on fig2, at default sizes;
 - `simulate` on fig2: 2 runs of the square case, and 1 run of a tall
   (N = 400, M = 200) Haar T with skewed entries.
 
@@ -46,7 +48,9 @@ def runs(outdir: Path) -> list[list[str]]:
         argvs.append(["edges", *sigma, "--z", "0", "--out", str(outdir / name / "edges_z0")])
         for z in ("0.5", "1.2", "1.5"):
             for cmd in ("edges", "density", "quantiles"):
-                argvs.append([cmd, *sigma, "--z", z, "--out", str(outdir / name / f"{cmd}_z{z}")])
+                out = outdir / name / f"{cmd}_z{z}"
+                argvs.append([cmd, *sigma, "--z", z, "--out", str(out)])
+                argvs.append([cmd, *sigma, "--z", z, "--grid", "200", "--out", f"{out}_grid200"])
     fig2 = ["--sigma", str(outdir / "fig2.cfg")]
     argvs += [
         ["chi", *fig2, "--out", str(outdir / "fig2" / "chi")],

@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -138,14 +139,14 @@ def cmd_density(args, outdir: Path, manifest: dict) -> int:
     profile = find_edges(spec, z, _params(args), args.grid)
     table = tabulate_density(spec, z, resolution=args.grid, profile=profile)
     write_density_csv(table, outdir / "density.csv")
-    (outdir / "bands.json").write_text(json.dumps(profile.to_dict(), indent=2))
+    (outdir / "bands.json").write_text(json.dumps(asdict(profile), indent=2))
     manifest["total_mass"] = table.total_mass
     return EXIT_OK
 
 
 def cmd_edges(args, outdir: Path, manifest: dict) -> int:
     profile = find_edges(_load_spec(args), _z(args), _params(args), args.grid)
-    (outdir / "edges.json").write_text(json.dumps(profile.to_dict(), indent=2))
+    (outdir / "edges.json").write_text(json.dumps(asdict(profile), indent=2))
     return EXIT_OK
 
 

@@ -34,6 +34,7 @@ _LEG_INT = npleg.legint(np.eye(GL_ORDER), lbnd=-1)   # series -> antiderivative,
 
 ZERO_EDGE_LEVELS = 8          # geometric theta grading levels toward a zero edge
 MASS_TOL = 1e-3               # missed-band alarm on |mass - 1|
+TARGET_TOL = 1e-6             # quantile targets may exceed the table mass by this
 SPLIT_TOL = 1e-10             # per-segment spectral tail triggering a split
 SPLIT_MAX_DEPTH = 8
 NEWTON_MAX = 100              # cap on the vectorized Newton loops below
@@ -51,19 +52,6 @@ def _x_of_theta(lo: float, hi: float, th: np.ndarray) -> np.ndarray:
     low_form = lo + 2.0 * half * np.sin(0.5 * th) ** 2
     high_form = hi - 2.0 * half * np.sin(0.5 * (np.pi - th)) ** 2
     return np.where(th <= 0.5 * np.pi, low_form, high_form)
-
-@dataclass(frozen=True)
-class _Segment:
-    t0: float
-    t1: float
-    mid: float
-    half: float
-    x: np.ndarray
-    jac: np.ndarray            # dx/dtheta at the nodes
-    rho2: np.ndarray
-    leg2: np.ndarray           # Legendre coefficients of rho2 * dx/dtheta
-    base2: float               # cumulative rho2 mass before this segment
-
 
 @dataclass(frozen=True)
 class _PiecewiseCdf:
@@ -87,12 +75,7 @@ class _PiecewiseCdf:
     cum: np.ndarray            # (GL_ORDER + 1, segments)
 
     @classmethod
-    def build(cls, segments: list[_Segment]) -> _PiecewiseCdf:
-        def col(name):
-            return np.array([getattr(s, name) for s in segments], dtype=float)
-
-        t0, t1, mid, half, base = (col(n) for n in ("t0", "t1", "mid", "half", "base2"))
-        leg = np.column_stack([s.leg2 for s in segments])
+    def build(cls, t0, t1, mid, half, base, leg) -> _PiecewiseCdf:
         cum = _LEG_INT @ leg
         return cls(
             t0=t0, t1=t1, mid=mid, half=half,
@@ -174,9 +157,9 @@ class DensityTable:
     rho1: np.ndarray
     rho2: np.ndarray
     weight: np.ndarray
+    jac: np.ndarray            # dx/dtheta at the nodes
     total_mass: float
     mass1: float
-    segments: tuple[_Segment, ...] = field(repr=False)
     profile: SupportProfile = field(repr=False)
     cdf: _PiecewiseCdf = field(repr=False)
 
@@ -188,11 +171,8 @@ class DensityTable:
 
     def quadrature_error_estimate(self) -> float:
         """Spectral tail estimate of the mass quadrature error."""
-        err = 0.0
-        for seg in self.segments:
-            scale = (seg.t1 - seg.t0) / 2.0
-            err += scale * float(np.sum(np.abs(seg.leg2[-2:])))
-        return err
+        c = self.cdf
+        return float(np.sum(0.5 * (c.t1 - c.t0) * np.sum(np.abs(c.leg[-2:]), axis=0)))
 
     def cdf2(self, x):
         """Mass of rho2 on (0, x], elementwise over an array of x."""
@@ -210,12 +190,12 @@ class DensityTable:
         out[inside] = np.where(below, start, c.at_theta(k, theta))
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def quantile2(self, target, tol: float = 1e-6):
+    def quantile2(self, target):
         """x with mass of rho2 on (0, x] equal to target, elementwise over an array."""
         m = np.atleast_1d(np.asarray(target, dtype=float))
         if np.any(m < 0):
             raise DomainError("quantile target must be >= 0")
-        if np.any(m > self.total_mass + tol):
+        if np.any(m > self.total_mass + TARGET_TOL):
             raise DomainError(
                 f"target mass {np.max(m)} exceeds table mass {self.total_mass}"
             )
@@ -245,70 +225,65 @@ def tabulate_density(
     """Gauss-Legendre density table over all support bands.
 
     Nodes are distributed across bands proportionally to band width; a band
-    touching zero gets the geometrically graded segment layout. Raises
-    TableTooCoarseError when the rho2 mass misses 1 by more than 1e-3
-    (a missed band; rescan with finer support options).
+    touching zero gets the geometrically graded segment layout. Each split
+    depth solves the pending segments of all bands in one density_batch
+    call. Raises TableTooCoarseError when the rho2 mass misses 1 by more
+    than 1e-3 (a missed band; rescan with finer support options).
     """
     if profile is None:
         profile = find_edges(spec, z_mod)
     bands = profile.bands_ascending
-    widths = np.array([hi - lo for lo, hi in bands])
-    shares = widths / widths.sum()
-    segments: list[_Segment] = []
-    xs, r1s, r2s, ws = [], [], [], []
-    base2 = 0.0
-    for bi, (lo, hi) in enumerate(bands):
-        zero = lo == 0.0
-        n_seg = max(2, int(np.ceil(resolution * shares[bi] / GL_ORDER)))
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pending = _band_theta_segments(zero, n_seg)
-        done: list[tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        depth = 0
-        while pending and depth <= SPLIT_MAX_DEPTH:
-            th_cat = np.concatenate(
-                [0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GL_XI for (t0, t1) in pending]
-            )
-            x_cat = np.maximum(_x_of_theta(lo, hi, th_cat), 1e-300)
-            rho1, rho2 = density_batch(x_cat, spec, z_mod)
-            nxt: list[tuple[float, float]] = []
-            for k, (t0, t1) in enumerate(pending):
-                sl = slice(k * GL_ORDER, (k + 1) * GL_ORDER)
-                th, x, r1, r2 = th_cat[sl], x_cat[sl], rho1[sl], rho2[sl]
-                jac = half * np.sin(th)
-                tail = (t1 - t0) / 2.0 * float(
-                    np.sum(np.abs(_legendre_coeffs(r2 * jac)[-2:]))
-                )
-                if tail > SPLIT_TOL and depth < SPLIT_MAX_DEPTH:
-                    tm = 0.5 * (t0 + t1)
-                    nxt.extend([(t0, tm), (tm, t1)])
-                else:
-                    done.append((t0, t1, th, x, r1, r2))
-            pending = nxt
-            depth += 1
-        for (t0, t1, th, x, r1, r2) in sorted(done, key=lambda s: s[0]):
-            jac = half * np.sin(th)
-            seg = _Segment(
-                t0=t0, t1=t1, mid=mid, half=half, x=x, jac=jac, rho2=r2,
-                leg2=_legendre_coeffs(r2 * jac), base2=base2,
-            )
-            scale = (t1 - t0) / 2.0
-            base2 += scale * float(np.dot(_GL_W, r2 * jac))
-            segments.append(seg)
-            xs.append(x)
-            r1s.append(r1)
-            r2s.append(r2)
-            ws.append(scale * _GL_W * jac)
-    x = np.concatenate(xs)
-    rho1 = np.concatenate(r1s)
-    rho2 = np.concatenate(r2s)
-    weight = np.concatenate(ws)
+    lo_b, hi_b = np.array(bands).T
+    shares = (hi_b - lo_b) / (hi_b - lo_b).sum()
+    pending = [
+        (bi, t0, t1)
+        for bi, (lo, hi) in enumerate(bands)
+        for t0, t1 in _band_theta_segments(
+            lo == 0.0, max(2, int(np.ceil(resolution * shares[bi] / GL_ORDER)))
+        )
+    ]
+    b, t0, t1 = (np.array(col) for col in zip(*pending))
+    parts = []        # the segments accepted at each split depth, as arrays
+    for depth in range(SPLIT_MAX_DEPTH + 1):
+        scale = 0.5 * (t1 - t0)
+        th = (0.5 * (t0 + t1))[:, None] + scale[:, None] * _GL_XI
+        lo, hi = lo_b[b, None], hi_b[b, None]
+        x = np.maximum(_x_of_theta(lo, hi, th), 1e-300)
+        rho1, rho2 = density_batch(x, spec, z_mod)
+        jac = 0.5 * (hi - lo) * np.sin(th)
+        vals = rho2 * jac
+        # one matrix-vector product per segment: a batched product would
+        # sum in another order and move the last bits of the table
+        leg = np.array([_legendre_coeffs(v) for v in vals])
+        split = (scale * np.sum(np.abs(leg[:, -2:]), axis=1) > SPLIT_TOL) & (
+            depth < SPLIT_MAX_DEPTH
+        )
+        keep = ~split
+        mass = scale[keep] * np.array([np.dot(_GL_W, v) for v in vals[keep]])
+        parts.append((b[keep], t0[keep], t1[keep], x[keep], rho1[keep], rho2[keep],
+                      jac[keep], leg[keep], mass))
+        if not split.any():
+            break
+        tm = 0.5 * (t0 + t1)
+        b, t0, t1 = (np.r_[b[split], b[split]], np.r_[t0[split], tm[split]],
+                     np.r_[tm[split], t1[split]])
+    b, t0, t1, x, rho1, rho2, jac, leg, mass = (np.concatenate(p) for p in zip(*parts))
+    # bands ascending, segments ascending in theta within each band
+    order = np.lexsort((t0, b))
+    b, t0, t1, mass = b[order], t0[order], t1[order], mass[order]
+    x, rho1, rho2, jac = (a[order].ravel() for a in (x, rho1, rho2, jac))
+    weight = ((0.5 * (t1 - t0))[:, None] * _GL_W).ravel() * jac
     total = float(np.sum(rho2 * weight))
     mass1 = float(np.sum(rho1 * weight))
+    cdf = _PiecewiseCdf.build(
+        t0, t1, 0.5 * (lo_b + hi_b)[b], 0.5 * (hi_b - lo_b)[b],
+        np.r_[0.0, np.cumsum(mass)[:-1]],
+        np.ascontiguousarray(leg[order].T),   # (GL_ORDER, segments), C order
+    )
     table = DensityTable(
         z_mod=z_mod, bands=tuple(bands), x=x, rho1=rho1, rho2=rho2,
-        weight=weight, total_mass=total, mass1=mass1,
-        segments=tuple(segments), profile=profile, cdf=_PiecewiseCdf.build(segments),
+        weight=weight, jac=jac, total_mass=total, mass1=mass1,
+        profile=profile, cdf=cdf,
     )
     if abs(total - 1.0) > MASS_TOL:
         raise TableTooCoarseError(
@@ -348,14 +323,11 @@ def log_potential(
     """
     if table is None:
         table = tabulate_density(spec, z_mod)
-    val = 0.0
-    err = 0.0
-    for seg in table.segments:
-        integ = np.log(seg.x) * seg.rho2 * seg.jac
-        leg = _legendre_coeffs(integ)
-        scale = (seg.t1 - seg.t0) / 2.0
-        val += scale * float(np.dot(_GL_W, integ))
-        err += scale * float(np.sum(np.abs(leg[-2:])))
+    scale = 0.5 * (table.cdf.t1 - table.cdf.t0)
+    integ = (np.log(table.x) * table.rho2 * table.jac).reshape(scale.size, GL_ORDER)
+    val = np.sum(scale * (integ @ _GL_W))
+    # the last two Legendre coefficients of each segment's integrand
+    err = np.sum(scale * np.sum(np.abs(integ @ _LEG_PROJ[:, -2:]), axis=1))
     return float(val), float(err + table.quadrature_error_estimate())
 
 
@@ -381,44 +353,27 @@ class RadialProfile:
     z_band_min: float
     segments: tuple[tuple[int, int], ...]      # [start, stop) into the arrays
 
-    def chi_at(self, r) -> np.ndarray:
-        """Interpolated chi; NaN inside holes, clamped ends outside the grid."""
+    def _interp(self, r, values: np.ndarray, left: float, right: float) -> np.ndarray:
+        """Linear interpolation of values over the grid; NaN inside its holes."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.full(r.shape, np.nan)
-        for (i0, i1) in self.segments:
-            rs, cs = self.r[i0:i1], self.chi[i0:i1]
-            ok = np.isfinite(cs)
-            if not np.any(ok):
-                continue
-            m = (r >= rs[ok][0]) & (r <= rs[ok][-1])
-            out[m] = np.interp(r[m], rs[ok], cs[ok])
-        below = r < self.r[0]
-        out[below] = self.chi[np.isfinite(self.chi)][0] if np.any(below) else out[below]
-        above = r > self.r[-1]
-        out[above] = 0.0
+        out = np.interp(r, self.r, values, left=left, right=right)
+        for (_, i1), (j0, _) in zip(self.segments[:-1], self.segments[1:]):
+            out[(r > self.r[i1 - 1]) & (r < self.r[j0])] = np.nan
         return out
 
+    def chi_at(self, r) -> np.ndarray:
+        """Interpolated chi; NaN inside holes, chi[0] below the grid, 0 above it."""
+        return self._interp(r, self.chi, self.chi[0], 0.0)
+
     def F_at(self, r) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.full(r.shape, np.nan)
-        for (i0, i1) in self.segments:
-            rs, fs = self.r[i0:i1], self.F[i0:i1]
-            ok = np.isfinite(fs)
-            if not np.any(ok):
-                continue
-            m = (r >= rs[ok][0]) & (r <= rs[ok][-1])
-            out[m] = np.interp(r[m], rs[ok], fs[ok])
-        return out
+        """Interpolated F; NaN inside holes and outside the grid."""
+        return self._interp(r, self.F, np.nan, np.nan)
 
     def consistency_gap(self) -> float:
         """Max gap between F and the direct integral 2 int rho chi drho per segment."""
         worst = 0.0
         for (i0, i1) in self.segments:
-            rs = self.r[i0:i1]
-            chi = self.chi[i0:i1]
-            F = self.F[i0:i1]
-            ok = np.isfinite(chi) & np.isfinite(F)
-            rs, chi, F = rs[ok], chi[ok], F[ok]
+            rs, chi, F = self.r[i0:i1], self.chi[i0:i1], self.F[i0:i1]
             if rs.size < 3:
                 continue
             integrand = 2.0 * rs * chi

@@ -206,35 +206,6 @@ class SupportProfile:
     def top_edge(self) -> float:
         return self.bands_ascending[-1][1]
 
-    def to_dict(self) -> dict:
-        return {
-            "z_mod": self.z_mod,
-            "bands": [list(b) for b in self.bands],
-            "edges": [
-                {
-                    "e": ed.e,
-                    "m_c": ed.m_c,
-                    "d2f": ed.d2f,
-                    "pole_distance": ed.pole_distance,
-                    "neighbor_gap": ed.neighbor_gap,
-                    "side": ed.side,
-                    "refined": ed.refined,
-                }
-                for ed in self.edges
-            ],
-            "zero_edge": (
-                None
-                if self.zero_edge is None
-                else {
-                    "t": self.zero_edge.t,
-                    "rho1_amplitude": self.zero_edge.rho1_amplitude,
-                    "rho2_amplitude": self.zero_edge.rho2_amplitude,
-                }
-            ),
-            "scan_points": self.scan_points,
-            "scan_max": self.scan_max,
-        }
-
 
 def support_indicator(E: float, spec: SigmaSpectrum, z_mod: float) -> bool:
     """True iff an admissible root exists at real w = E (exact support test)."""

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import txlaw
+from txlaw import density
 from txlaw.errors import DomainError
 from conftest import mp_density
 
@@ -55,6 +56,22 @@ def test_quantiles_inside_bands(twoband_spec):
     bands = table.bands
     for g in qt.gamma:
         assert any(lo - 1e-9 <= g <= hi + 1e-9 for lo, hi in bands)
+
+
+def test_one_density_batch_call_per_split_depth(twoband_spec, monkeypatch):
+    # the split loop runs over the segments of all bands together
+    xs = []
+
+    def counting(x, *args):
+        xs.append(np.array(x))
+        return txlaw.density_batch(x, *args)
+
+    monkeypatch.setattr(density, "density_batch", counting)
+    table = txlaw.tabulate_density(twoband_spec, 1.5)
+    (lo0, hi0), (lo1, hi1) = table.bands
+    assert 1 < len(xs) <= density.SPLIT_MAX_DEPTH + 1
+    assert np.any((xs[0] >= lo0) & (xs[0] <= hi0))
+    assert np.any((xs[0] >= lo1) & (xs[0] <= hi1))
 
 
 def test_quantile_target_exceeds_mass(identity_spec):
@@ -184,6 +201,29 @@ def test_radial_hole_is_missing_not_interpolated(identity_radial_profile):
     # chi_at reports NaN inside the hole
     val = prof.chi_at(np.array([1.0]))[0]
     assert np.isnan(val)
+
+
+def test_radial_interpolation_contract(fig2_radial_profile):
+    prof = fig2_radial_profile
+    (_, i1), (j0, _) = prof.segments          # one hole, around r = 1
+    a, b = prof.r[i1 - 1], prof.r[j0]
+    assert a < 1.0 < b
+    for at, stored in ((prof.chi_at, prof.chi), (prof.F_at, prof.F)):
+        # grid radii, the hole's bounding ones included, give the stored values
+        assert np.array_equal(at(prof.r), stored)
+        assert at(a)[0] == stored[i1 - 1] and at(b)[0] == stored[j0]
+        # between two grid radii: their linear interpolation
+        i = 40
+        got = at(0.5 * (prof.r[i] + prof.r[i + 1]))[0]
+        assert got == pytest.approx(0.5 * (stored[i] + stored[i + 1]), rel=1e-14)
+        # strictly inside the hole: NaN
+        inside = np.array([np.nextafter(a, np.inf), 1.0, np.nextafter(b, -np.inf)])
+        assert np.all(np.isnan(at(inside)))
+    below, above = prof.r[0] - np.array([1e-9, 0.05]), prof.r[-1] + np.array([1e-9, 1.0])
+    assert np.all(prof.chi_at(below) == prof.chi[0])
+    assert np.all(np.isnan(prof.F_at(below)))
+    assert np.all(prof.chi_at(above) == 0.0)
+    assert np.all(np.isnan(prof.F_at(above)))
 
 
 def test_quantile_rigidity_link(identity_spec):

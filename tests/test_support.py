@@ -1,5 +1,7 @@
 """Support bands, edges, critical points, regularity and the zero-edge scale."""
 
+from dataclasses import asdict
+
 import mpmath
 import numpy as np
 import pytest
@@ -297,6 +299,6 @@ def test_zero_edge_scale_domain(fig2_spec):
 
 def test_scan_metadata_in_profile(fig2_spec):
     prof = txlaw.find_edges(fig2_spec, 1.5)
-    d = prof.to_dict()
+    d = asdict(prof)
     assert d["scan_points"] >= 2000 and d["scan_max"] > 10
     assert len(d["edges"]) == 2
