@@ -2,11 +2,13 @@
 
 The support of rho_{1,2} on (0, inf) is a finite union of bands whose
 endpoints satisfy f = df/dm = 0 simultaneously. A real x > 0 lies in the
-support iff the master equation at w = x has an admissible root. Edges are
-located by a log-uniform scan of that test, bracketed by bisection on it and
-refined by a two-variable real Newton iteration. For |z| < 1 the lowest
-band reaches 0 where the density diverges like x^(-1/2) with a computable
-scale t.
+support iff the master equation at w = x has an admissible root. A
+log-uniform scan of that test brackets each edge between two grid points;
+a two-variable real Newton iteration on (f, df/dm) = 0, started at the
+bracket's inside end from the root the scan solved there, finds the edge,
+and one batched probe of the test confirms that the support flips at it.
+For |z| < 1 the lowest band reaches 0 where the density diverges like
+x^(-1/2) with a computable scale t.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .sigma import ModelParams, SigmaSpectrum, sigma_harmonic_mean
 EDGE_F_TOL = 1e-10
 EDGE_DF_TOL = 1e-8
 GRID_LO = 1e-6          # lowest point of the support scan
-BISECT_WIDTH = 1e-10    # relative width of a bisected support crossing
+EDGE_PROBE = 1e-6       # relative offset of the support probes on each side of an edge
 ZERO_EDGE_TAU = 0.05    # the zero edge needs |z|^2 <= 1 - ZERO_EDGE_TAU
 
 
@@ -252,27 +254,6 @@ def _inside(x: np.ndarray, spec: SigmaSpectrum, z_mod: float):
     return solve_master_batch(x, spec, z_mod)[4] > 0
 
 
-def _bisect_indicator(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    lo_inside: np.ndarray,
-    spec: SigmaSpectrum,
-    z_mod: float,
-    max_iter: int = 60,
-):
-    """Vectorized bisection of indicator sign changes on brackets [lo, hi]."""
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(max_iter):
-        if np.all(hi - lo <= BISECT_WIDTH * np.maximum(1.0, hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        take_lo = _inside(mid, spec, z_mod) == lo_inside
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _refine_edge_newton(
     E0: float,
     m0: float,
@@ -316,11 +297,14 @@ def find_edges(
     """Locate all support bands and edges of the limiting densities.
 
     Scans the exact support test on scan_points log-uniform points of
-    [GRID_LO, 4 (s_1 + |z|^2 + 1)], brackets each sign change by bisection
-    to relative width BISECT_WIDTH, then refines nonzero edges by the
-    two-variable Newton iteration to |f| <= 1e-10, |df/dm| <= 1e-8. Retries
-    once at 4x resolution on inconsistent bracketing. params.check_z rejects
-    |z| in the excluded band around the unit circle.
+    [GRID_LO, 4 (s_1 + |z|^2 + 1)]. Each sign change brackets one edge; the
+    two-variable Newton iteration on (f, df/dm) = 0 starts at the bracket's
+    inside end, with m the real part of the admissible root the scan solved
+    there. The edge must land inside its bracket, and one batched support
+    test must put e (1 -/+ EDGE_PROBE) inside and e (1 +/- EDGE_PROBE)
+    outside the support. Any failure rescans once at 4x resolution. An edge
+    is `refined` when it also meets |f| <= EDGE_F_TOL, |df/dm| <= EDGE_DF_TOL.
+    params.check_z rejects |z| in the excluded band around the unit circle.
     """
     params.check_z(z_mod)
     spec.require_normalized()
@@ -339,75 +323,48 @@ def _find_edges_once(
     spec: SigmaSpectrum, z_mod: float, scan_points: int, scan_max: float
 ) -> SupportProfile:
     grid = np.exp(np.linspace(np.log(GRID_LO), np.log(scan_max), scan_points))
-    inside = _inside(grid, spec, z_mod)
+    m_scan, _, _, _, ncand = solve_master_batch(grid, spec, z_mod)
+    inside = ncand > 0
     if inside[-1]:
         raise BracketingError(f"support reaches the scan ceiling {scan_max:g}")
     if not np.any(inside):
         raise BracketingError("no support found on the scan grid")
 
-    # collect sign-change brackets
-    flips = np.nonzero(np.diff(inside.astype(int)))[0]
-    lo = grid[flips]
-    hi = grid[flips + 1]
-    lo_inside = inside[flips]
-    mids = _bisect_indicator(lo, hi, lo_inside, spec, z_mod)
+    # one edge per sign change of the scan, ascending; Newton starts at the
+    # bracket's inside end from the root the scan solved there
+    edges_asc = []
+    for k in np.nonzero(np.diff(inside.astype(int)))[0]:
+        side = "upper" if inside[k] else "lower"
+        start = k if inside[k] else k + 1
+        got = _refine_edge_newton(grid[start], float(m_scan[start].real), spec, z_mod)
+        if got is None or not grid[k] <= got[0] <= grid[k + 1]:
+            raise BracketingError(f"edge Newton left its bracket [{grid[k]:g}, {grid[k + 1]:g}]")
+        edges_asc.append((side, *got))
 
-    # assemble bands in ascending order
-    edges_asc: list[tuple[float, str]] = []
+    # the support must flip at each edge: inside probes first, then outside ones
+    e = np.array([ed[1] for ed in edges_asc])
+    into = np.array([1.0 if ed[0] == "lower" else -1.0 for ed in edges_asc])
+    probe = _inside(np.concatenate([e * (1 + into * EDGE_PROBE), e * (1 - into * EDGE_PROBE)]),
+                    spec, z_mod)
+    if not (probe[: e.size].all() and not probe[e.size:].any()):
+        raise BracketingError("an edge Newton converged off the support crossing")
+
+    # each edge's gap is to the nearest other edge, or to 0 where the lowest
+    # band reaches it
     touches_zero = bool(inside[0])
-    for x, was_inside in zip(mids, lo_inside):
-        edges_asc.append((float(x), "upper" if was_inside else "lower"))
-    band_edges: list[float] = []
-    if touches_zero:
-        band_edges.append(0.0)
-    band_edges.extend(x for x, _ in edges_asc)
-    if len(band_edges) % 2 != 0:
-        raise BracketingError("odd number of edges; grid too coarse")
-    bands_asc = [
-        (band_edges[i], band_edges[i + 1]) for i in range(0, len(band_edges), 2)
-    ]
-    if any(b[0] >= b[1] for b in bands_asc):
-        raise BracketingError("band assembly failed; grid too coarse")
-
-    # refine nonzero edges: (e, m_c, d2f, pole_distance, side, refined)
-    refined_edges = []
-    for x, side in edges_asc:
-        out_sign = -1.0 if side == "lower" else 1.0
-        e_out = x * (1 + out_sign * 1e-6) + out_sign * 1e-12
-        # just above the real axis off the support, m is real to O(1e-9)
-        m_out = solve_master_batch(np.array([e_out + 1e-9j]), spec, z_mod)[0][0]
-        if not np.isfinite(m_out):
-            raise SolverError(f"no admissible root just outside the edge at {x}")
-        m_start = float(np.real(m_out))
-        got = _refine_edge_newton(x, m_start, spec, z_mod)
-        refined = False
-        e_fin, m_fin, d2f = x, m_start, np.nan
-        if got is not None:
-            e_new, m_new, fabs, dfabs, d2f_new = got
-            # the bisected crossing sits within the bisection width of the
-            # true edge; a jump beyond ~1e-6 means Newton escaped to another edge
-            if abs(e_new - x) <= max(1e-6 * max(1.0, x), 100 * BISECT_WIDTH):
-                e_fin, m_fin, d2f = e_new, m_new, d2f_new
-                refined = fabs <= EDGE_F_TOL and dfabs <= EDGE_DF_TOL
-        pi = _arrowhead(np.array([np.sqrt(e_fin)]), spec, z_mod)[2]
-        pole_distance = float(np.min(np.abs(m_fin - pi)))
-        refined_edges.append((e_fin, m_fin, d2f, pole_distance, side, refined))
-
-    # rebuild bands with refined endpoints; each edge's gap is to the nearest
-    # other refined edge, or to 0 where the lowest band reaches it
     zero = [0.0] if touches_zero else []
-    ref_pos = [ed[0] for ed in refined_edges]
-    band_edges = zero + ref_pos
-    edges = [
-        EdgeInfo(
-            e=e, m_c=m_c, d2f=d2f, pole_distance=pole_distance,
+    pos = e.tolist()
+    band_edges = zero + pos
+    edges = []
+    for k, (side, e_k, m_c, fabs, dfabs, d2f) in enumerate(edges_asc):
+        pi = _arrowhead(np.array([np.sqrt(e_k)]), spec, z_mod)[2]
+        edges.append(EdgeInfo(
+            e=e_k, m_c=m_c, d2f=d2f, pole_distance=float(np.min(np.abs(m_c - pi))),
             neighbor_gap=float(min(
-                (abs(e - y) for y in zero + ref_pos[:k] + ref_pos[k + 1:]), default=np.inf
+                (abs(e_k - y) for y in zero + pos[:k] + pos[k + 1:]), default=np.inf
             )),
-            side=side, refined=refined,
-        )
-        for k, (e, m_c, d2f, pole_distance, side, refined) in enumerate(refined_edges)
-    ]
+            side=side, refined=fabs <= EDGE_F_TOL and dfabs <= EDGE_DF_TOL,
+        ))
     bands_asc = [
         (band_edges[i], band_edges[i + 1]) for i in range(0, len(band_edges), 2)
     ]

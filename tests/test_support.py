@@ -1,6 +1,6 @@
 """Support bands, edges, critical points, regularity and the zero-edge scale."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import mpmath
 import numpy as np
@@ -133,6 +133,71 @@ def test_two_band_spectrum(twoband_spec):
         # bands descending and disjoint
         (a_lo, a_hi), (b_lo, b_hi) = prof.bands
         assert a_lo > b_hi
+
+
+def _count_master_solves(monkeypatch):
+    """Record the size and support mask of every solve_master_batch call in support."""
+    calls = []
+    real = support.solve_master_batch
+
+    def counting(w, spec, z_mod):
+        out = real(w, spec, z_mod)
+        calls.append((np.asarray(w), out[4] > 0))
+        return out
+
+    monkeypatch.setattr(support, "solve_master_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec_name, z, grid", [
+    ("fig2_spec", 0.5, 2000), ("fig2_spec", 1.2, 2000), ("fig2_spec", 1.5, 2000),
+    ("many_spec", 0.5, 200),
+])
+def test_find_edges_solves_scan_and_one_probe_batch(request, monkeypatch, spec_name, z, grid):
+    # no per-step bisection: one scan and one batch of flip probes
+    spec = request.getfixturevalue(spec_name)
+    calls = _count_master_solves(monkeypatch)
+    prof = txlaw.find_edges(spec, z, scan_points=grid)
+    assert prof.scan_points == grid          # no 4x rescan
+    assert [w.size for w, _ in calls] == [grid, 2 * len(prof.edges)]
+    assert all(ed.refined for ed in prof.edges)
+
+
+def _bracket_midpoint(calls, E0):
+    """Midpoint of the last scan's bracket that has E0 as its inside end."""
+    grid, inside = calls[-1]
+    k = int(np.searchsorted(grid, E0))
+    j = k + 1 if k + 1 < grid.size and not inside[k + 1] else k - 1
+    assert inside[k] and not inside[j]
+    return 0.5 * (grid[k] + grid[j])
+
+
+@pytest.mark.parametrize("fault", ["none", "outside", "midpoint"])
+def test_edge_newton_failure_rescans_then_raises(fig2_spec, monkeypatch, fault):
+    calls = _count_master_solves(monkeypatch)
+
+    def broken(E0, m0, spec, z_mod):
+        e = {"none": None, "outside": 0.5 * E0,
+             "midpoint": _bracket_midpoint(calls, E0)}[fault]
+        return None if e is None else (e, m0, 0.0, 0.0, 1.0)
+
+    monkeypatch.setattr(support, "_refine_edge_newton", broken)
+    with pytest.raises(txlaw.BracketingError):
+        txlaw.find_edges(fig2_spec, 1.5)
+    # the probe batch (two points per edge of fig2) is what catches the midpoint
+    scans = [2000, 4, 8000, 4] if fault == "midpoint" else [2000, 8000]
+    assert [w.size for w, _ in calls] == scans
+
+
+@pytest.mark.parametrize("z", [0.5, 1.2, 1.5])
+def test_edges_flip_the_critical_value_indicator(fig2_spec, twoband_spec, many_spec, z):
+    # a witness that never calls solve_master_batch: the signs of f's critical values
+    for spec in (fig2_spec, twoband_spec, many_spec):
+        for ed in txlaw.find_edges(spec, z).edges:
+            into = 1.0 if ed.side == "lower" else -1.0
+            for sign, expect in ((into, True), (-into, False)):
+                x = ed.e * (1 + sign * 1e-6)
+                assert support.support_indicator_by_critical_values(x, spec, z) == expect
 
 
 @pytest.mark.parametrize("z", [1e-100, 1e-80])
@@ -283,6 +348,27 @@ def test_zero_edge_scale_against_mpmath(fig2_spec, many_spec):
             t = txlaw.zero_edge_scale(spec, z)
             t_mp = mp_zero_edge_root(spec, z)
             assert abs(t - t_mp) <= 1e-14 * t_mp, (spec.n, z, t, t_mp)
+
+
+def _zero_edge_asymptote_error(zero_edge, spec, z):
+    """Largest |rho sqrt(x) / amplitude - 1| over x on logspace(-15, -12)."""
+    x = np.logspace(-15, -12, 16)
+    rho1, rho2 = txlaw.density_batch(x, spec, z)
+    return max(np.max(np.abs(rho1 * np.sqrt(x) / zero_edge.rho1_amplitude - 1)),
+               np.max(np.abs(rho2 * np.sqrt(x) / zero_edge.rho2_amplitude - 1)))
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5])
+def test_zero_edge_amplitudes(fig2_spec, many_spec, z):
+    for spec in (fig2_spec, many_spec):
+        ze = txlaw.find_edges(spec, z).zero_edge
+        t = ze.t
+        assert ze.rho1_amplitude == pytest.approx(np.sqrt(t) / np.pi, rel=1e-15)
+        assert ze.rho2_amplitude == pytest.approx(np.sqrt(t) / (np.pi * (t + z * z)), rel=1e-15)
+        assert _zero_edge_asymptote_error(ze, spec, z) <= 1e-9
+        # the asymptote check alone rejects a wrong constant in the amplitude
+        wrong = replace(ze, rho1_amplitude=float(np.sqrt(t) / 3.1))
+        assert _zero_edge_asymptote_error(wrong, spec, z) > 1e-3
 
 
 def test_zero_edge_scale_nonpositive_root():
