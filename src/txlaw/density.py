@@ -35,6 +35,7 @@ _LEG_INT = npleg.legint(np.eye(GL_ORDER), lbnd=-1)   # series -> antiderivative,
 ZERO_EDGE_LEVELS = 8          # geometric theta grading levels toward a zero edge
 MASS_TOL = 1e-3               # missed-band alarm on |mass - 1|
 TARGET_TOL = 1e-6             # quantile targets may exceed the table mass by this
+BAND_TIE_TOL = 1e-12          # rounding of a band's cumulative mass: a target this close ties
 SPLIT_TOL = 1e-10             # per-segment spectral tail triggering a split
 SPLIT_MAX_DEPTH = 8
 NEWTON_MAX = 100              # cap on the vectorized Newton loops below
@@ -204,8 +205,14 @@ class DensityTable:
         # target above every segment's top mass also maps to the top edge
         out = np.full(m.shape, float(self.bands[-1][1]))
         out[m <= 0.0] = self.bands[0][0]
+        # a target at a band's cumulative mass ties across the gap after it:
+        # gamma = inf{x : F(x) >= target} is the band's top edge
+        tops = np.array([hi for _, hi in self.bands[:-1]])
+        tie = np.abs(m[:, None] - self.cdf2(tops)) <= BAND_TIE_TOL   # (targets, gaps)
+        tied = tie.any(axis=1)
+        out[tied] = (tie @ tops)[tied]
         k = np.searchsorted(c.top, m, side="left")
-        pick = np.nonzero((m > 0.0) & (m < self.total_mass - 1e-7) & (k < c.t0.size))[0]
+        pick = np.nonzero((m > 0.0) & ~tied & (m < self.total_mass - 1e-7) & (k < c.t0.size))[0]
         k = k[pick]
         # a target below its segment's base sits in the rounding-level gap
         # after the previous segment's top: it maps to the segment's start

@@ -172,25 +172,33 @@ def m2_from_m1(m1, w, z_mod: float):
 def _cubic_roots(u: np.ndarray, s: np.ndarray, z2: float) -> np.ndarray:
     """Roots of every p_i(m) = u m^3 - (s_i + |z|^2) m^2 - u |z|^2 m + |z|^4.
 
-    u has shape (B,). Eigenvalues of the (B, n) batch of 3x3 companion
-    matrices, then two Newton steps on p_i; returns (B, n, 3). For real u > 0
-    the three roots are real and are returned as real numbers.
+    u has shape (B,); returns (B, n, 3), real for real u > 0. The dominant
+    root a is the largest of Viete's h + 2 r cos(phi - 2 pi k / 3), with
+    h = (s_i + |z|^2) / (3u), r^2 = h^2 + |z|^2 / 3; the other two solve
+    m^2 + beta m + gamma = 0, gamma = -|z|^4 / (u a), beta = (|z|^2 + gamma) / a,
+    stably. Two Newton steps on (u m - |z|^2)(m^2 - |z|^2) - s_i m^2 polish
+    all three; this form of p_i keeps its digits where two roots nearly meet.
     """
     uB = u[:, None]
-    C = np.zeros((u.size, s.size, 3, 3), dtype=u.dtype)
-    C[..., 0, 0] = (s + z2) / uB
-    C[..., 0, 1] = z2
-    C[..., 0, 2] = -z2 * z2 / uB
-    C[..., 1, 0] = C[..., 2, 1] = 1.0
-    r = np.linalg.eigvals(C)
-    if np.isrealobj(u):
-        if np.any(np.abs(r.imag) > 1e-8 * np.max(np.abs(r), axis=-1, keepdims=True)):
-            raise SolverError(f"a per-atom cubic lost its three real roots (|z| = {np.sqrt(z2)})")
-        r = r.real
-    uB = uB[..., None]
-    q = (s + z2)[:, None]
+    h = (s + z2) / (3 * uB)
+    r = np.sqrt(h * h + z2 / 3)
+    # temporary factor first: numpy reuses it in place as the left operand
+    cos3 = ((h / r) ** 2 + z2 / (2 * r * r)) * (h / r) - (z2 / r) ** 2 / (2 * uB * r)
+    if np.isrealobj(u) and np.any(np.abs(cos3) > 1 + 1e-12):
+        raise SolverError(f"a per-atom cubic lost its three real roots (|z| = {np.sqrt(z2)})")
+    cos3 = np.clip(cos3, -1.0, 1.0) if np.isrealobj(u) else cos3
+    cand = h[..., None] + 2 * r[..., None] * np.cos(
+        np.arccos(cos3)[..., None] / 3 - np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3]))
+    a = np.take_along_axis(cand, np.argmax(np.abs(cand), axis=-1)[..., None], axis=-1)[..., 0]
+    gamma = -z2 * z2 / (uB * a)
+    beta = (z2 + gamma) / a
+    d = np.sqrt(beta * beta - 4 * gamma)
+    t = -0.5 * (beta + np.where((np.conj(beta) * d).real < 0, -d, d))
+    r = np.stack([a, t, gamma / t], axis=-1)
+    uB, s = uB[..., None], s[:, None]
     for _ in range(2):
-        r = r - (((uB * r - q) * r - uB * z2) * r + z2 * z2) / ((3 * uB * r - 2 * q) * r - uB * z2)
+        lin, quad = uB * r - z2, r * r - z2
+        r = r - (lin * quad - s * r * r) / (uB * quad + 2 * r * lin - 2 * s * r)
     return r
 
 

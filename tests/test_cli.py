@@ -239,13 +239,38 @@ def test_commands_run_without_scipy(tmp_path, fig2_file):
     ("radial_demo.py", ["--step", "0.01"]),
     ("ensemble_check.py", ["--N", "100", "--runs", "2"]),
     ("output_digest.py", ["digest"]),
+    ("output_diff.py", ["a", "b"]),
 ])
 def test_scripts_run(tmp_path, script, args):
     root = Path(__file__).resolve().parent.parent
     src = str(Path(txlaw.__file__).resolve().parent.parent)
     if script in ("density_scan.py", "radial_demo.py"):
         args = args + ["--out", str(tmp_path / "out")]
+    if script == "output_diff.py":
+        _write_digest_pair(tmp_path / "a", tmp_path / "b")
     proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
                           capture_output=True, text=True, cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+    if script == "output_diff.py":
+        assert proc.stdout.splitlines() == [
+            "q/edges.json  2/5 fields  max rel inf",
+            "q/quantiles.csv  1/3 rows  max rel 2.5e-06",
+            "s/extra.csv  only in b",
+        ]
+
+
+def _write_digest_pair(a, b):
+    """Two small output directories: a CSV with one moved cell, a JSON with a
+    moved number and a changed string, and the files output_diff.py skips or
+    finds equal."""
+    for d, gamma, e, side, elapsed in ((a, "0.4", 2.0, "upper", [0.1]),
+                                       (b, "0.400001", 2.0000001, "lower", [0.2])):
+        (d / "q").mkdir(parents=True)
+        (d / "s").mkdir()
+        (d / "q" / "quantiles.csv").write_text(f"j,gamma_j\n1,0.1\n2,{gamma}\n3,0.9\n")
+        (d / "q" / "edges.json").write_text(json.dumps(
+            {"z_mod": 0.5, "edges": [{"e": e, "side": side, "refined": True}], "zero_edge": None}))
+        (d / "q" / "manifest.json").write_text(json.dumps({"elapsed": elapsed}))
+        (d / "s" / "summary.json").write_text(json.dumps({"runs": 1, "elapsed": elapsed}))
+    (b / "s" / "extra.csv").write_text("x\n1\n")

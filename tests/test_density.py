@@ -1,5 +1,8 @@
 """Density tables, quantiles, log-potential and the radial profile."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -56,6 +59,31 @@ def test_quantiles_inside_bands(twoband_spec):
     bands = table.bands
     for g in qt.gamma:
         assert any(lo - 1e-9 <= g <= hi + 1e-9 for lo, hi in bands)
+
+
+def _digest_many_spec(tmp_path):
+    """The ten-value raw-d spectrum that scripts/output_digest.py writes."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+    mod_spec = importlib.util.spec_from_file_location("output_digest", path)
+    mod = importlib.util.module_from_spec(mod_spec)
+    mod_spec.loader.exec_module(mod)
+    (tmp_path / "many.cfg").write_text(mod.MANY)
+    return txlaw.load_sigma_file(tmp_path / "many.cfg")
+
+
+@pytest.mark.parametrize("spec_name, z", [("digest_many", 0.5), ("twoband_spec", 0.5),
+                                          ("twoband_spec", 1.2)])
+def test_quantile_at_band_mass_is_the_band_top(spec_name, z, request, tmp_path):
+    # the lower band holds mass 0.9 exactly: gamma = inf{x : F(x) >= 0.9} is
+    # its top edge, however the table rounds that mass
+    spec = (_digest_many_spec(tmp_path) if spec_name == "digest_many"
+            else request.getfixturevalue(spec_name))
+    table = txlaw.tabulate_density(spec, z)
+    (_, top), (start, _) = table.bands
+    assert np.all(table.quantile2(0.9 * np.array([1.0, 1 - 1e-14, 1 + 1e-14])) == top)
+    assert txlaw.quantiles(table, 200).gamma[179] == top
+    assert table.quantile2(0.9 - 1e-9) < top
+    assert table.quantile2(0.9 + 1e-9) > start
 
 
 def test_one_density_batch_call_per_split_depth(twoband_spec, monkeypatch):

@@ -8,23 +8,33 @@ from hypothesis import strategies as st
 
 import txlaw
 from txlaw.errors import DomainError, SolverError, TableTooCoarseError, TxlawError
-from txlaw.master import _arrowhead
+from txlaw.master import _arrowhead, _cubic_roots
 from txlaw.sigma import MERGE_RTOL
 from conftest import dyson_transforms, mp_density, mp_stieltjes
 
 
-def _cardano_real_roots(c3, c2, c1, c0):
-    """Trigonometric solution of a cubic with three real roots (oracle)."""
-    a, b, c = c2 / c3, c1 / c3, c0 / c3
-    p = b - a * a / 3.0
-    q = 2 * a**3 / 27.0 - a * b / 3.0 + c
-    mlt = 2.0 * np.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * mlt) if p != 0 else 0.0
-    phi = np.arccos(np.clip(3 * q / (p * mlt), -1.0, 1.0)) / 3.0
-    del arg
-    return np.sort(
-        np.array([mlt * np.cos(phi - 2 * np.pi * k / 3.0) for k in range(3)]) - a / 3.0
-    )
+def _mp_cubic_roots(u, s, z2):
+    """Roots of u m^3 - (s + |z|^2) m^2 - u |z|^2 m + |z|^4 (oracle).
+
+    Eigenvalues of the companion matrix by mpmath's QR iteration, with
+    enough digits beyond the roots' dynamic range (up to 1e150 at tiny |z|)
+    that its absolute error is far below the smallest root.
+    """
+    dps = 40 + int(-4 * np.log10(min(np.sqrt(z2), 1.0)))
+    with mpmath.workdps(dps):
+        u, z2 = mpmath.mpmathify(complex(u)), mpmath.mpf(z2)
+        C = mpmath.matrix([[(mpmath.mpf(s) + z2) / u, z2, -z2 * z2 / u],
+                           [1, 0, 0], [0, 1, 0]])
+        return np.array([complex(r) for r in mpmath.eig(C, left=False, right=False)])
+
+
+def _matched_rel_err(got, want):
+    """Max relative error of got against want, each got root matched to the
+    nearest want root; the matching must be one to one."""
+    err = np.abs(np.asarray(got)[:, None] - want[None, :]) / np.abs(want)[None, :]
+    idx = np.argmin(err, axis=1)
+    assert sorted(idx) == list(range(want.size)), (got, want)
+    return float(np.max(err[np.arange(idx.size), idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +179,85 @@ def test_prop_bound_scale(fig2_spec):
 # cubic factorization and the partial-fraction identity
 # ---------------------------------------------------------------------------
 
-def test_cubic_roots_against_trig_oracle(identity_spec):
-    w, z = 10.0, 1.5
-    fac = txlaw.cubic_factorize(w, identity_spec, z)
-    u, z2 = np.sqrt(w), z * z
-    want = _cardano_real_roots(u, -(1 + z2), -u * z2, z2 * z2)
-    got = np.sort(np.array([-fac.c[0], fac.b[0], fac.a[0]]))
-    assert got == pytest.approx(want, rel=1e-9)
-    # substitution residual
-    for r in got:
-        p = u * r**3 - (1 + z2) * r**2 - u * z2 * r + z2 * z2
-        scale = u * abs(r) ** 3 + (1 + z2) * r**2 + u * z2 * abs(r) + z2 * z2
-        assert abs(p) <= 1e-9 * scale
+# three atoms whose s span a ratio of 4e4
+_WIDE_SPEC, _ = txlaw.normalize_spectrum([40.0, 1.0, 1e-3], [1, 1, 1], 3, 3)
+
+
+def test_cubic_roots_against_mpmath():
+    # x over 23 decades and near |z|^2, where two roots nearly meet for
+    # s_i << |z|^2; |z| down to 1e-70 (|z|^4 still a normal double); real w
+    # and w above the axis by 1e-300 up to O(x); against mpmath roots
+    s = np.asarray(_WIDE_SPEC.s)
+    worst = 0.0
+    for z in (1e-70, 1.63e-66, 1e-20, 1e-3, 0.5, 1.2, 3.0):
+        xs = np.r_[np.logspace(-19, 4, 24), z * z * (1 + np.linspace(-0.02, 0.02, 5))]
+        for w in (xs, xs + 1e-300j, xs * (1 + 0.3j), xs * (-1 + 0.3j)):
+            u = np.sqrt(w) if np.isrealobj(w) else txlaw.sqrt_upper(w)
+            got = _cubic_roots(u, s, z * z)
+            assert np.isrealobj(got) == np.isrealobj(w)
+            for k, uk in enumerate(u):
+                for i, si in enumerate(s):
+                    want = _mp_cubic_roots(uk, si, z * z)
+                    worst = max(worst, _matched_rel_err(got[k, i], want))
+    assert worst <= 4e-15
+
+
+def test_cubic_factorize_against_mpmath():
+    s = np.asarray(_WIDE_SPEC.s)
+    for z in (1e-70, 1e-20, 0.5, 3.0):
+        for x in np.logspace(-19, 4, 12):
+            fac = txlaw.cubic_factorize(x, _WIDE_SPEC, z)
+            for i, si in enumerate(s):
+                want = np.sort(_mp_cubic_roots(np.sqrt(x), si, z * z).real)
+                got = np.array([-fac.c[i], fac.b[i], fac.a[i]])
+                assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15, (z, x, i)
+
+
+def test_cubic_factorize_tiny_z_small_roots():
+    # |z|^4 a normal double, but the two small roots near 1e-131 apart from
+    # the dominant one by 137 decades: a companion eigensolve put both at
+    # +-7.9e-127 for every atom, and the ordering check passed
+    x, z = 2.83e-12, 1.63e-66
+    fac = txlaw.cubic_factorize(x, _WIDE_SPEC, z)
+    for i, si in enumerate(_WIDE_SPEC.s):
+        want = np.sort(_mp_cubic_roots(np.sqrt(x), si, z * z).real)
+        got = np.array([-fac.c[i], fac.b[i], fac.a[i]])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15
+    assert np.all(np.diff(fac.b) > 0) and np.all(np.diff(fac.c) > 0)
+
+
+def test_cubic_roots_batch_invariant(many_spec):
+    # a point alone gives the same bits as inside a 2,000-point batch
+    s = np.asarray(many_spec.s)
+    x = np.logspace(-19, 4, 2000)
+    for u in (np.sqrt(x), txlaw.sqrt_upper(x * (1 + 0.3j))):
+        batch = _cubic_roots(u, s, 1.2**2)
+        alone = np.concatenate([_cubic_roots(u[k:k + 1], s, 1.2**2) for k in range(u.size)])
+        assert np.array_equal(alone, batch)
+
+
+def test_cubic_roots_rejects_lost_real_roots():
+    # u = 1, |z| = 1, s = -1: p = m^3 - m + 1 has one real root
+    with pytest.raises(SolverError, match="three real roots"):
+        _cubic_roots(np.array([1.0]), np.array([-1.0]), 1.0)
+
+
+@pytest.mark.parametrize("im_w", [0.0, 0.3])
+def test_one_eigensolve_per_master_solve(fig2_spec, monkeypatch, im_w):
+    # the per-atom cubics are solved in closed form; the arrowhead is the
+    # only eigensolve
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    w = np.linspace(0.05, 12.0, 50) + 1j * im_w
+    _, _, _, _, ncand = txlaw.solve_master_batch(w, fig2_spec, 1.2)
+    assert len(calls) == 1 and calls[0][-1] == 3 * fig2_spec.n + 1
+    assert np.any(ncand > 0)
 
 
 def test_cubic_bounds_random_sweep():
