@@ -1,11 +1,13 @@
 """Command-line front end: reproducible, file-based runs of the engine.
 
 Subcommands: density, edges, chi, quantiles, simulate, verify, selfcheck.
-Every run writes a manifest.json with the input hash, resolved options, seed
-and wall time, so any output is reproducible from its manifest alone.
+Each command takes only the flags it reads. Every run writes a manifest.json
+with the input hash, the command's options (seed included) and wall time, so
+any output is reproducible from its manifest alone.
 
 Spectrum files are plain text, one `key = value` per line, `#` comments:
-    N = 1000', M = 1000
+    N = 1000
+    M = 1000
     s = [1.8823529411764706, 0.11764705882352941]
     l = [500, 500]
 or raw singular values `d = [..]`, plus optional `normalize = true`.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -34,7 +37,7 @@ from .density import (
 )
 from .errors import InputError, TxlawError
 from .montecarlo import EnsembleConfig, run_ensemble, count_trivial_zeros
-from .sigma import ModelParams, load_sigma_file
+from .sigma import ModelParams, SigmaSpectrum, load_sigma_file
 from .support import find_edges
 
 EXIT_OK = 0
@@ -42,48 +45,52 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _add_common(p: argparse.ArgumentParser, need_sigma: bool = True):
-    if need_sigma:
-        p.add_argument("--sigma", required=True, help="spectrum input file")
-    p.add_argument("--z", type=float, default=None, help="|z| modulus")
-    p.add_argument("--zband", type=float, default=0.05, help="excluded band half-width on |z|^2")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=2000, help="scan or table resolution")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=2)
-    p.add_argument("--dist", choices=["gauss", "rademacher", "skewed"], default="gauss")
-    p.add_argument("--tmode", choices=["diagonal", "haar"], default="diagonal")
+def _checked(convert, ok, what: str):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__     # argparse's "invalid float value" message
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "a finite number")
+
+# every flag a command can take: option string -> add_argument keywords
+FLAGS = {
+    "--sigma": dict(required=True, help="spectrum input file"),
+    "--suite": dict(default="quick", choices=["quick", "mp", "invariants", "small-w",
+                                              "stieltjes", "circular-law", "esd"]),
+    "--z": dict(type=_FINITE, default=0.0, help="|z| modulus"),
+    "--zband": dict(type=_FINITE, default=0.05, help="excluded band half-width on |z|^2"),
+    "--grid": dict(type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=2000,
+                   help="scan or table resolution"),
+    "--N": dict(type=int, default=None),
+    "--M": dict(type=int, default=None),
+    "--runs": dict(type=int, default=20),
+    "--seed": dict(type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0),
+    "--threads": dict(type=int, default=2),
+    "--dist": dict(choices=["gauss", "rademacher", "skewed"], default="gauss"),
+    "--tmode": dict(choices=["diagonal", "haar"], default="diagonal"),
+    "--rmin": dict(type=_FINITE, default=0.1),
+    "--rmax": dict(type=_FINITE, default=2.0),
+    "--rstep": dict(type=_FINITE, default=0.005),
+    "--out": dict(default="out", help="output directory"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="txlaw", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("density", "tabulate the limiting density at one |z|"),
-        ("edges", "locate support bands and edge diagnostics"),
-        ("chi", "radial profile: U, chi, F"),
-        ("quantiles", "classical eigenvalue locations"),
-        ("simulate", "sample ensembles and dump spectra"),
-        ("verify", "run a named verification suite"),
-        ("selfcheck", "fast internal consistency checks"),
-    ):
-        p = sub.add_parser(name, help=help_)
-        _add_common(p, need_sigma=(name not in ("verify", "selfcheck")))
-        if name == "chi":
-            p.add_argument("--rmin", type=float, default=0.1)
-            p.add_argument("--rmax", type=float, default=2.0)
-            p.add_argument("--rstep", type=float, default=0.005)
-        if name == "verify":
-            p.add_argument(
-                "--suite",
-                default="quick",
-                choices=["quick", "mp", "invariants", "small-w", "stieltjes",
-                         "circular-law", "esd"],
-            )
+    for name, (_, help_, flags) in COMMANDS.items():
+        # no prefixes: chi --z would otherwise set --zband
+        p = sub.add_parser(name, help=help_, description=help_, allow_abbrev=False)
+        for flag in flags + ("--out",):
+            p.add_argument(flag, **FLAGS[flag])
     return ap
 
 
@@ -108,12 +115,11 @@ def _manifest(args, outdir: Path, t0: float, extra: dict) -> None:
 
 
 def _load_spec(args):
+    """The spectrum file, its multiplicities rescaled to --N/--M when given."""
     spec = load_sigma_file(args.sigma)
     if args.N is not None or args.M is not None:
-        new_n = args.N or spec.N
-        new_m = args.M or spec.M
-        from .sigma import SigmaSpectrum
-
+        new_n = spec.N if args.N is None else args.N
+        new_m = spec.M if args.M is None else args.M
         scale = min(new_n, new_m) / spec.K
         if scale != int(scale):
             raise InputError("--N/--M must scale the file's K by an integer factor")
@@ -126,18 +132,13 @@ def _load_spec(args):
     return spec
 
 
-def _z(args) -> float:
-    return args.z if args.z is not None else 0.0
-
-
 # Each command writes its outputs to outdir and may add entries to the
 # manifest, which main writes once the command returns.
 
 def cmd_density(args, outdir: Path, manifest: dict) -> int:
-    spec = _load_spec(args)
-    z = _z(args)
-    profile = find_edges(spec, z, _params(args), args.grid)
-    table = tabulate_density(spec, z, resolution=args.grid, profile=profile)
+    spec = load_sigma_file(args.sigma)
+    profile = find_edges(spec, args.z, _params(args), args.grid)
+    table = tabulate_density(spec, args.z, resolution=args.grid, profile=profile)
     write_density_csv(table, outdir / "density.csv")
     (outdir / "bands.json").write_text(json.dumps(asdict(profile), indent=2))
     manifest["total_mass"] = table.total_mass
@@ -145,14 +146,14 @@ def cmd_density(args, outdir: Path, manifest: dict) -> int:
 
 
 def cmd_edges(args, outdir: Path, manifest: dict) -> int:
-    profile = find_edges(_load_spec(args), _z(args), _params(args), args.grid)
+    profile = find_edges(load_sigma_file(args.sigma), args.z, _params(args), args.grid)
     (outdir / "edges.json").write_text(json.dumps(asdict(profile), indent=2))
     return EXIT_OK
 
 
 def cmd_chi(args, outdir: Path, manifest: dict) -> int:
     profile = compute_radial_profile(
-        _load_spec(args), args.rmin, args.rmax, h=args.rstep, params=_params(args)
+        load_sigma_file(args.sigma), args.rmin, args.rmax, h=args.rstep, params=_params(args)
     )
     write_radial_csv(profile, outdir / "radial.csv")
     return EXIT_OK
@@ -160,9 +161,8 @@ def cmd_chi(args, outdir: Path, manifest: dict) -> int:
 
 def cmd_quantiles(args, outdir: Path, manifest: dict) -> int:
     spec = _load_spec(args)
-    z = _z(args)
-    profile = find_edges(spec, z, _params(args), args.grid)
-    table = tabulate_density(spec, z, resolution=args.grid, profile=profile)
+    profile = find_edges(spec, args.z, _params(args), args.grid)
+    table = tabulate_density(spec, args.z, resolution=args.grid, profile=profile)
     qt = quantiles(table, spec.K)
     write_quantiles_csv(qt, outdir / "quantiles.csv")
     manifest["total_mass"] = table.total_mass
@@ -173,7 +173,7 @@ def cmd_simulate(args, outdir: Path, manifest: dict) -> int:
     spec = _load_spec(args)
     cfg = EnsembleConfig(
         N=spec.N, M=spec.M, spec=spec, t_mode=args.tmode, x_dist=args.dist,
-        z_list=(complex(_z(args)),), runs=args.runs, seed=args.seed, threads=args.threads,
+        z_list=(complex(args.z),), runs=args.runs, seed=args.seed, threads=args.threads,
     )
     runs = run_ensemble(cfg)
     with open(outdir / "eigenvalues.csv", "w", encoding="utf-8") as fh:
@@ -223,33 +223,41 @@ def cmd_selfcheck(args, outdir: Path, manifest: dict) -> int:
     return _write_checks(outdir, "selfcheck.json", run_selfcheck())
 
 
+_LAW = ("--sigma", "--z", "--zband", "--grid")
+_ENSEMBLE = ("--runs", "--seed", "--threads", "--dist", "--tmode")
+
+# command -> (handler, help, the flags the handler reads); every command also
+# takes --out. simulate also takes --zband, for callers that pass it to every
+# command.
+COMMANDS = {
+    "density": (cmd_density, "tabulate the limiting density at one |z|", _LAW),
+    "edges": (cmd_edges, "locate support bands and edge diagnostics", _LAW),
+    "chi": (cmd_chi, "radial profile: U, chi, F",
+            ("--sigma", "--zband", "--rmin", "--rmax", "--rstep")),
+    "quantiles": (cmd_quantiles, "classical eigenvalue locations", _LAW + ("--N", "--M")),
+    "simulate": (cmd_simulate, "sample ensembles and dump spectra (--zband has no effect)",
+                 ("--sigma", "--z", "--zband", "--N", "--M") + _ENSEMBLE),
+    "verify": (cmd_verify, "run a named verification suite",
+               ("--suite", "--zband", "--N") + _ENSEMBLE),
+    "selfcheck": (cmd_selfcheck, "fast internal consistency checks", ()),
+}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "density": cmd_density,
-        "edges": cmd_edges,
-        "chi": cmd_chi,
-        "quantiles": cmd_quantiles,
-        "simulate": cmd_simulate,
-        "verify": cmd_verify,
-        "selfcheck": cmd_selfcheck,
-    }
     t0 = time.time()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {}
     try:
-        code = handlers[args.command](args, outdir, manifest)
+        code = COMMANDS[args.command][0](args, outdir, manifest)
         _manifest(args, outdir, t0, manifest)
         return code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
+    except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TxlawError as exc:

@@ -15,7 +15,6 @@ spectrum alone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +160,6 @@ class DensityTable:
     jac: np.ndarray            # dx/dtheta at the nodes
     total_mass: float
     mass1: float
-    profile: SupportProfile = field(repr=False)
     cdf: _PiecewiseCdf = field(repr=False)
 
     def integrate_rho2(self, fn) -> complex:
@@ -289,8 +287,7 @@ def tabulate_density(
     )
     table = DensityTable(
         z_mod=z_mod, bands=tuple(bands), x=x, rho1=rho1, rho2=rho2,
-        weight=weight, jac=jac, total_mass=total, mass1=mass1,
-        profile=profile, cdf=cdf,
+        weight=weight, jac=jac, total_mass=total, mass1=mass1, cdf=cdf,
     )
     if abs(total - 1.0) > MASS_TOL:
         raise TableTooCoarseError(
@@ -437,9 +434,9 @@ def compute_radial_profile(
     closed-form radial law, so the spectrum must be normalized (DomainError
     otherwise).
     """
-    if h > 0.01:
-        raise DomainError("radial grid step must be <= 0.01")
-    if r_lo <= 0 or r_hi <= r_lo:
+    if not 0 < h <= 0.01:
+        raise DomainError(f"radial grid step must be in (0, 0.01], got {h}")
+    if not 0 < r_lo < r_hi:
         raise DomainError("need 0 < r_lo < r_hi")
     zb = params.z_band_min
     n_req = int(round((r_hi - r_lo) / h))
@@ -473,33 +470,23 @@ def compute_radial_profile(
 # CSV emitters (fixed headers)
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, header: str, *columns) -> None:
+    """The header, then one row per index of the columns with every value in
+    .17g, all lines ended by CRLF as csv.writer ends them."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [header, *(",".join(format(v, ".17g") for v in row) for row in rows)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
 def write_density_csv(table: DensityTable, path) -> None:
     order = np.argsort(table.x)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "rho2c"])
-        for i in order:
-            w.writerow([f"{table.x[i]:.17g}", f"{table.rho2[i]:.17g}"])
+    _write_csv(path, "x,rho2c", table.x[order], table.rho2[order])
 
 
 def write_radial_csv(profile: RadialProfile, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "U", "chi", "F"])
-        for i in range(profile.r.size):
-            w.writerow(
-                [
-                    f"{profile.r[i]:.17g}",
-                    f"{profile.U[i]:.17g}",
-                    f"{profile.chi[i]:.17g}",
-                    f"{profile.F[i]:.17g}",
-                ]
-            )
+    _write_csv(path, "r,U,chi,F", profile.r, profile.U, profile.chi, profile.F)
 
 
 def write_quantiles_csv(qt: QuantileTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "gamma_j"])
-        for j, g in enumerate(qt.gamma, 1):
-            w.writerow([j, f"{g:.17g}"])
+    _write_csv(path, "j,gamma_j", np.arange(1, qt.gamma.size + 1), qt.gamma)

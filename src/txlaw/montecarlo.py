@@ -28,6 +28,13 @@ from .master import solve_master, sqrt_upper
 from .sigma import SigmaSpectrum
 
 ZERO_EIG_TOL = 1e-8
+MIN_SUCCESS = 0.95          # fraction of runs that must succeed for a statistic
+BULK_MARGIN = 0.1           # rigidity skips this fraction of each band's indices at both ends
+EXTREME_C0 = 3.0            # lambda_max cap (||T|| (EXTREME_C0 + 1) + |z|)^2
+BUMP_RADIAL_NODES = 64      # Gauss-Legendre nodes in r of the bump target's polar quadrature
+BUMP_ANGLES = 128           # equispaced angles of that quadrature
+RADIAL_BAND_MARGIN = 2.0    # the radial ECDF skips |r^2 - 1| < RADIAL_BAND_MARGIN * zband
+ENTRYWISE_PROBES = 4        # random quadratic-form probes per run in entrywise_law_check
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,8 @@ class EnsembleConfig:
             raise InputError(f"unknown x_dist {self.x_dist!r}")
         if min(self.N, self.M) != self.spec.K:
             raise InputError("spectrum K does not match min(N, M)")
+        if self.runs < 1:
+            raise InputError(f"runs must be >= 1, got {self.runs}")
 
     @property
     def K(self) -> int:
@@ -174,12 +183,12 @@ def run_ensemble(cfg: EnsembleConfig) -> list[RunResult]:
 # law statistics
 # ---------------------------------------------------------------------------
 
-def successful(runs: list[RunResult], min_fraction: float = 0.95) -> list[RunResult]:
-    """Drop failed runs; raise when the success rate falls below min_fraction."""
+def successful(runs: list[RunResult]) -> list[RunResult]:
+    """Drop failed runs; raise when the success rate falls below MIN_SUCCESS."""
     good = [r for r in runs if not r.failed]
-    if len(good) < min_fraction * len(runs):
+    if len(good) < MIN_SUCCESS * len(runs):
         raise SolverError(
-            f"only {len(good)}/{len(runs)} runs succeeded (< {min_fraction:.0%})"
+            f"only {len(good)}/{len(runs)} runs succeeded (< {MIN_SUCCESS:.0%})"
         )
     return good
 
@@ -264,12 +273,7 @@ def control_parameter(m1c: complex, m2c: complex, N: int, eta: float) -> float:
     return float(np.sqrt(max((m1c + m2c).imag, 0.0) / (N * eta)) + 1.0 / (N * eta))
 
 
-def entrywise_law_check(
-    cfg: EnsembleConfig,
-    z: complex,
-    w: complex,
-    probes: int = 4,
-):
+def entrywise_law_check(cfg: EnsembleConfig, z: complex, w: complex):
     """Per-run max group deviation of the resolvent from its deterministic limit.
 
     Needs N = M and diagonal T. Returns a list of dicts with the max 2x2
@@ -303,7 +307,7 @@ def entrywise_law_check(
         group_norms = np.linalg.norm(D4, ord=2, axis=(2, 3))
         probe_vals = []
         prng = _rng_for_run(cfg.seed ^ 0x5EED, k)
-        for _ in range(probes):
+        for _ in range(ENTRYWISE_PROBES):
             v = prng.standard_normal(2 * N) + 1j * prng.standard_normal(2 * N)
             v /= np.linalg.norm(v)
             probe_vals.append(abs(np.vdot(v, D @ v)) / psi)
@@ -324,12 +328,11 @@ def rigidity_profile(
     qt: QuantileTable,
     table: DensityTable,
     runs: list[RunResult] | None = None,
-    bulk_margin: float = 0.1,
 ):
     """Relative gaps |lambda_j - gamma_j| / gamma_j over bulk indices of each band.
 
-    Bulk indices exclude a margin fraction of each band's index range at both
-    ends. Returns dict with per-run medians, the pooled median and max.
+    Bulk indices exclude a BULK_MARGIN fraction of each band's index range at
+    both ends. Returns dict with per-run medians, the pooled median and max.
     """
     if runs is None:
         runs = run_ensemble(cfg)
@@ -347,7 +350,7 @@ def rigidity_profile(
         width = n_hi - n_lo
         if width <= 0:
             continue
-        m = int(np.ceil(bulk_margin * width))
+        m = int(np.ceil(BULK_MARGIN * width))
         a, b = n_lo + m, n_hi - m
         if a < b:
             idx_mask[a : b] = True
@@ -368,16 +371,11 @@ def rigidity_profile(
     }
 
 
-def extreme_singular_stats(
-    cfg: EnsembleConfig,
-    z_mod: float,
-    runs: list[RunResult] | None = None,
-    c0: float = 3.0,
-):
+def extreme_singular_stats(cfg: EnsembleConfig, z_mod: float, runs: list[RunResult] | None = None):
     """Extreme eigenvalue summaries of Y Y^dag with bound violation counts.
 
     Checks lambda_min against exp(-K^0.3) and lambda_max against
-    (||T|| (c0 + 1) + |z|)^2, and the per-run deterministic inequality
+    (||T|| (EXTREME_C0 + 1) + |z|)^2, and the per-run deterministic inequality
     lambda_max <= (||T|| ||X|| + |z|)^2 with a power-iteration estimate of
     ||X|| (a lower bound, so the inequality check is conservative).
     """
@@ -389,7 +387,7 @@ def extreme_singular_stats(
     lam_min = np.array([r.singular[key][0] for r in runs])
     lam_max = np.array([r.singular[key][-1] for r in runs])
     small_floor = np.exp(-cfg.K ** 0.3)
-    big_cap = (t_norm * (c0 + 1.0) + z_mod) ** 2
+    big_cap = (t_norm * (EXTREME_C0 + 1.0) + z_mod) ** 2
     det_viol = 0
     for r in runs:
         _, X = _draw(cfg, r.run_index)
@@ -422,15 +420,8 @@ def bump_laplacian_l1() -> float:
     return 32.0 * np.pi / 9.0
 
 
-def local_circular_error(
-    cfg: EnsembleConfig,
-    z0: complex,
-    a: float,
-    profile: RadialProfile,
-    runs: list[RunResult] | None = None,
-    n_rad: int = 64,
-    n_ang: int = 128,
-):
+def local_circular_error(cfg: EnsembleConfig, z0: complex, a: float, profile: RadialProfile,
+                         runs: list[RunResult] | None = None):
     """Per-run |empirical - deterministic| for the rescaled bump statistic.
 
     The empirical side is (1/K) sum_j F_{z0,a}(mu_j) over nontrivial
@@ -448,15 +439,15 @@ def local_circular_error(
         runs = run_ensemble(cfg)
     runs = successful(runs)
     # deterministic target: (1/pi) int F(v) chi(|z0 + radius v|) dv over |v|<=1
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_rad)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(BUMP_RADIAL_NODES)
     rr = 0.5 * (gl_x + 1.0)
     rw = 0.5 * gl_w
-    th = 2 * np.pi * np.arange(n_ang) / n_ang
+    th = 2 * np.pi * np.arange(BUMP_ANGLES) / BUMP_ANGLES
     pts = z0 + radius * rr[:, None] * np.exp(1j * th)[None, :]
-    chi_vals = profile.chi_at(np.abs(pts)).reshape(rr.size, n_ang)
+    chi_vals = profile.chi_at(np.abs(pts)).reshape(rr.size, BUMP_ANGLES)
     fvals = bump(rr)[:, None]
     target = (
-        np.sum(fvals * chi_vals * (rr * rw)[:, None]) * (2 * np.pi / n_ang) / np.pi
+        np.sum(fvals * chi_vals * (rr * rw)[:, None]) * (2 * np.pi / BUMP_ANGLES) / np.pi
     )
     out = []
     for r in runs:
@@ -468,26 +459,18 @@ def local_circular_error(
     return {"errors": out, "target": float(np.real(target)), "radius": radius}
 
 
-def radial_esd_cdf(
-    cfg: EnsembleConfig,
-    profile: RadialProfile,
-    runs: list[RunResult] | None = None,
-    r_grid=None,
-    band_margin: float = 2.0,
-):
+def radial_esd_cdf(cfg: EnsembleConfig, profile: RadialProfile,
+                   runs: list[RunResult] | None = None):
     """Empirical radial CDF of nontrivial eigenvalues against the predicted F.
 
-    Compares on grid points with |r^2 - 1| >= band_margin * z_band_min.
+    Compares on the profile's radii with |r^2 - 1| >= RADIAL_BAND_MARGIN * z_band_min.
     Returns per-run sup deviations and the median curve.
     """
     if runs is None:
         runs = run_ensemble(cfg)
     runs = successful(runs)
-    if r_grid is None:
-        r_grid = profile.r
-    r_grid = np.asarray(r_grid, dtype=float)
-    keep = np.abs(r_grid**2 - 1.0) >= band_margin * profile.z_band_min
-    r_cmp = r_grid[keep]
+    keep = np.abs(profile.r**2 - 1.0) >= RADIAL_BAND_MARGIN * profile.z_band_min
+    r_cmp = profile.r[keep]
     F_theory = profile.F_at(r_cmp)
     ok = np.isfinite(F_theory)
     r_cmp, F_theory = r_cmp[ok], F_theory[ok]

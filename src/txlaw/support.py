@@ -28,6 +28,10 @@ EDGE_DF_TOL = 1e-8
 GRID_LO = 1e-6          # lowest point of the support scan
 EDGE_PROBE = 1e-6       # relative offset of the support probes on each side of an edge
 ZERO_EDGE_TAU = 0.05    # the zero edge needs |z|^2 <= 1 - ZERO_EDGE_TAU
+EDGE_NEWTON_MAX = 80    # cap on the two-variable edge Newton iteration
+BULK_POINTS = 200       # grid points of check_bulk_regularity
+FIT_WINDOW = (1e-4, 1e-2)   # distances from the edge fitted by edge_exponent_fit
+FIT_POINTS = 20         # log-uniform points over FIT_WINDOW
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +259,7 @@ def _inside(x: np.ndarray, spec: SigmaSpectrum, z_mod: float):
 
 
 def _refine_edge_newton(
-    E0: float,
-    m0: float,
-    spec: SigmaSpectrum,
-    z_mod: float,
-    max_iter: int = 80,
+    E0: float, m0: float, spec: SigmaSpectrum, z_mod: float
 ) -> tuple[float, float, float, float, float] | None:
     """Newton on (f, df/dm)(u, m) = 0 over real (u = sqrt(w), m).
 
@@ -268,7 +268,7 @@ def _refine_edge_newton(
     """
     u = np.sqrt(E0)
     m = m0
-    for _ in range(max_iter):
+    for _ in range(EDGE_NEWTON_MAX):
         f, fm, fmm, fu, fum = master_f_all(u * u, m, spec, z_mod)
         f, fm, fmm, fu, fum = (
             np.real(f), np.real(fm), np.real(fmm), np.real(fu), np.real(fum),
@@ -399,35 +399,25 @@ def check_edge_regularity(edge: EdgeInfo, epsilon: float) -> RegularityReport:
     )
 
 
-def check_bulk_regularity(
-    band: tuple[float, float],
-    spec: SigmaSpectrum,
-    z_mod: float,
-    tau_prime: float,
-    c: float,
-    grid_points: int = 200,
-) -> bool:
-    """True iff rho1 >= c on the band shrunk by tau_prime at both ends."""
+def check_bulk_regularity(band: tuple[float, float], spec: SigmaSpectrum, z_mod: float,
+                          tau_prime: float, c: float) -> bool:
+    """True iff rho1 >= c at BULK_POINTS points of the band shrunk by tau_prime
+    at both ends."""
     lo, hi = min(band), max(band)
     if hi - lo <= 2 * tau_prime:
         raise DomainError("band too narrow for the requested shrink")
-    x = np.linspace(lo + tau_prime, hi - tau_prime, grid_points)
+    x = np.linspace(lo + tau_prime, hi - tau_prime, BULK_POINTS)
     rho1, _ = density_batch(x, spec, z_mod)
     return bool(np.min(rho1) >= c)
 
 
-def edge_exponent_fit(
-    edge: EdgeInfo | ZeroEdgeInfo,
-    spec: SigmaSpectrum,
-    z_mod: float,
-    window: tuple[float, float] = (1e-4, 1e-2),
-    n_points: int = 20,
-) -> float:
-    """Least-squares slope of log rho1 against log distance from the edge.
+def edge_exponent_fit(edge: EdgeInfo | ZeroEdgeInfo, spec: SigmaSpectrum, z_mod: float) -> float:
+    """Least-squares slope of log rho1 against log distance from the edge, at
+    FIT_POINTS distances spanning FIT_WINDOW.
 
     Regular nonzero edges give about +1/2; the zero edge gives about -1/2.
     """
-    d = np.exp(np.linspace(np.log(window[0]), np.log(window[1]), n_points))
+    d = np.exp(np.linspace(np.log(FIT_WINDOW[0]), np.log(FIT_WINDOW[1]), FIT_POINTS))
     if isinstance(edge, ZeroEdgeInfo):
         x = d
     else:

@@ -14,6 +14,8 @@ from .montecarlo import EnsembleConfig, run_ensemble
 from .sigma import ModelParams, SigmaSpectrum, sigma_harmonic_mean
 from .support import critical_points, find_edges, zero_edge_scale
 
+INVARIANT_SEED = 7      # stream of the random spectra in check_invariants
+
 
 def _mp_density(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
@@ -40,8 +42,8 @@ def check_mp() -> dict:
     }
 
 
-def check_invariants(n_cases: int = 25, seed: int = 7) -> dict:
-    rng = np.random.default_rng(seed)
+def check_invariants(n_cases: int = 25) -> dict:
+    rng = np.random.default_rng(INVARIANT_SEED)
     violations = 0
     for _ in range(n_cases):
         n = int(rng.integers(1, 4))
@@ -129,7 +131,7 @@ def check_circular(params: ModelParams) -> dict:
 
 def check_esd(args) -> dict:
     spec = SigmaSpectrum(s=(32 / 17, 2 / 17), l=(500, 500), N=1000, M=1000)
-    N = args.N or 400
+    N = 400 if args.N is None else args.N
     scale = N // 2
     spec = SigmaSpectrum(s=spec.s, l=(scale, scale), N=N, M=N)
     z = 1.5

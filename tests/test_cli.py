@@ -1,7 +1,9 @@
 """CLI: subcommands, file formats, manifests, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import txlaw
-from txlaw.cli import main
+from txlaw import cli
+from txlaw.cli import build_parser, main
 
 FIG2_CFG = """\
 # two-atom spectrum
@@ -50,7 +53,7 @@ def test_byte_identical_reruns(tmp_path, fig2_file):
     for out in (out1, out2):
         rc = main(
             ["density", "--sigma", str(fig2_file), "--z", "1.5", "--grid", "600",
-             "--out", str(out), "--seed", "9"]
+             "--out", str(out)]
         )
         assert rc == 0
     assert (out1 / "density.csv").read_bytes() == (out2 / "density.csv").read_bytes()
@@ -192,9 +195,96 @@ def test_selfcheck(tmp_path):
     assert all(v["passed"] for v in data.values())
 
 
+_LAW = {"--sigma", "--z", "--zband", "--grid", "--out"}
+_ENSEMBLE = {"--runs", "--seed", "--threads", "--dist", "--tmode"}
+COMMAND_FLAGS = {
+    "density": _LAW,
+    "edges": _LAW,
+    "quantiles": _LAW | {"--N", "--M"},
+    "chi": {"--sigma", "--zband", "--rmin", "--rmax", "--rstep", "--out"},
+    "simulate": {"--sigma", "--z", "--zband", "--N", "--M", "--out"} | _ENSEMBLE,
+    "verify": {"--suite", "--zband", "--N", "--out"} | _ENSEMBLE,
+    "selfcheck": {"--out"},
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    ap = build_parser()
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _settable(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    return {name: {opt for a in _settable(p) for opt in a.option_strings}
+            for name, p in _subparsers().items()}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    assert _parser_flags() == COMMAND_FLAGS
+    assert sum(len(_settable(p)) for p in _subparsers().values()) == 44
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--sigma", "f.cfg", "--runs", "3"],
+    ["chi", "--sigma", "f.cfg", "--z", "0.3"],
+    ["density", "--sigma", "f.cfg", "--seed", "9"],
+    ["edges", "--sigma", "f.cfg", "--N", "400"],
+    ["verify", "--z", "0.5"],
+    ["selfcheck", "--zband", "0.1"],
+])
+def test_flag_of_another_command_is_a_usage_error(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_manifest_options_are_the_command_flags(tmp_path, fig2_file, monkeypatch, command):
+    _, help_, flags = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, (lambda args, outdir, manifest: 0, help_, flags))
+    sigma = ["--sigma", str(fig2_file)] if "--sigma" in COMMAND_FLAGS[command] else []
+    assert main([command, *sigma, "--out", str(tmp_path)]) == 0
+    options = json.loads((tmp_path / "manifest.json").read_text())["options"]
+    assert {f"--{k}" for k in options} == COMMAND_FLAGS[command]
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = readme.splitlines()
+    start = lines.index("| command | flags |")
+    documented = {}
+    for row in lines[start + 2:]:
+        if not row.startswith("|"):
+            break
+        names, flags = row.strip("|").split("|")
+        for name in re.findall(r"`([a-z]+)`", names):
+            documented[name] = set(re.findall(r"--\w+", flags)) | {"--out"}
+    assert "`--out <dir>` on every command" in lines[start - 2]
+    assert documented == _parser_flags()
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--grid", "0"],
+    ["chi", "--rstep", "0"],
+    ["simulate", "--runs", "1", "--seed", "-1"],
+    ["density", "--z", "nan"],
+    ["quantiles", "--z", "1.5", "--N", "0"],
+    ["simulate", "--runs", "0"],
+])
+def test_out_of_range_value_gives_one_error_line(tmp_path, fig2_file, capsys, argv):
+    rc = main([*argv, "--sigma", str(fig2_file), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc in (1, 2)
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_usage_errors(tmp_path, fig2_file):
     assert main(["density", "--sigma", "/nope.cfg", "--out", str(tmp_path)]) == 2
     assert main(["bogus"]) == 2
+    assert main(["verify", "--suite", "esd", "--N", "0", "--out", str(tmp_path / "v")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("N = 4\nM = 4\nd = [1, oops]\n")
     assert main(["density", "--sigma", str(bad), "--out", str(tmp_path / "x")]) == 2
