@@ -220,9 +220,16 @@ def _arrowhead(u: np.ndarray, spec: SigmaSpectrum, z_mod: float):
     if z2 * z2 < np.finfo(float).tiny:
         return alpha, c * s / (uB * uB), s / uB
     pi = _cubic_roots(u, s, z2)
-    uB = uB[..., None]
-    dp = (3 * uB * pi - 2 * (s + z2)[:, None]) * pi - uB * z2
-    rho = c[:, None] * pi * (pi * pi - z2) / dp
+    uB, s = uB[..., None], s[:, None]
+    # p_i' in the factored form of _cubic_roots, u q + 2 m l - 2 s_i m with
+    # l = u m - |z|^2 and q = m^2 - |z|^2: it keeps its digits where two roots
+    # nearly meet. Where q cancels (a root near +-|z|), q = s_i m^2 / l from
+    # p_i = l q - s_i m^2 = 0 does not
+    lin, quad = uB * pi - z2, pi * pi - z2
+    quad = np.where(np.abs(quad) * (np.abs(uB * pi) + z2) >= np.abs(lin) * np.abs(pi * pi),
+                    quad, s * pi * pi / lin)
+    dp = uB * quad + 2 * pi * lin - 2 * s * pi
+    rho = c[:, None] * pi * quad / dp
     return alpha, rho.reshape(u.size, 3 * s.size), pi.reshape(u.size, 3 * s.size)
 
 

@@ -213,6 +213,35 @@ def test_cubic_factorize_against_mpmath():
                 assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15, (z, x, i)
 
 
+def _mp_residues(u, s, c, z2):
+    """(root, residue) pairs of f at the three poles of one atom (oracle):
+    c m (m^2 - |z|^2) / p'(m) at 60-digit roots, rounded only at the end."""
+    with mpmath.workdps(60):
+        u, s, z2 = (mpmath.mpf(v) for v in (u, s, z2))
+        C = mpmath.matrix([[(s + z2) / u, z2, -z2 * z2 / u], [1, 0, 0], [0, 1, 0]])
+        roots = [mpmath.re(r) for r in mpmath.eig(C, left=False, right=False)]
+        return [(float(r), float(c * r * (r * r - z2) / (3 * u * r * r - 2 * (s + z2) * r - u * z2)))
+                for r in roots]
+
+
+def test_arrowhead_residues_against_mpmath():
+    # near x = |z|^2 two roots of the small atom's cubic nearly meet and its
+    # third sits near -|z|, where m^2 - |z|^2 cancels; storing a root in
+    # double precision alone moves a residue there by up to 3.4e-14
+    s = np.asarray(_WIDE_SPEC.s)
+    c = _WIDE_SPEC.weights * s
+    worst = 0.0
+    for z in (0.5, 1.2, 3.0):
+        for x in np.r_[z * z * (1 + np.linspace(-0.02, 0.02, 9)), np.logspace(-6, 3, 10)]:
+            _, rho, pi = _arrowhead(np.array([np.sqrt(x)]), _WIDE_SPEC, z)
+            rho, pi = rho.reshape(3, 3), pi.reshape(3, 3)
+            for i in range(3):
+                for root, want in _mp_residues(np.sqrt(x), s[i], c[i], z * z):
+                    k = np.argmin(np.abs(pi[i] - root))
+                    worst = max(worst, abs(rho[i, k] - want) / abs(want))
+    assert worst <= 1e-13
+
+
 def test_cubic_factorize_tiny_z_small_roots():
     # |z|^4 a normal double, but the two small roots near 1e-131 apart from
     # the dominant one by 137 decades: a companion eigensolve put both at
