@@ -19,6 +19,14 @@ Above the real axis one root is always admissible; at real w > 0 one is
 exactly inside the support. There everything is real, and the densities
 are solved directly.
 
+Along a batch of real w > 0 the arrowhead runs only at anchors, every
+ANCHOR_STRIDE-th point in x order. The other points take Newton steps on f
+from the nearest anchor's root and keep a result only if it is certified:
+admissible, within RESIDUAL_TOL, with forward error |f / f_m| at most
+FORWARD_RTOL |m|, and non-real by a margin over that error. Any other point
+falls back to the arrowhead. Since the admissible root at real w is unique,
+the two paths agree on the support and on the root to rounding.
+
 All evaluators are vectorized over w and m.
 """
 
@@ -36,6 +44,9 @@ from .sigma import SigmaSpectrum
 UNIQUE_ETA = 1e-6     # above this Im w the admissible root must be unique
 RESIDUAL_TOL = 1e-12  # |f| contract for every returned root
 POLISH_STEPS = 4      # Newton steps on f after the eigensolve
+ANCHOR_STRIDE = 16    # real-axis batches: one arrowhead solve per this many points
+ANCHOR_NEWTON_MAX = 20  # cap on the Newton steps from an anchor root
+FORWARD_RTOL = 1e-13  # |f / f_m| <= FORWARD_RTOL |m| certifies an anchored Newton root
 
 
 def sqrt_upper(w):
@@ -262,14 +273,105 @@ def _polish(w, m, spec: SigmaSpectrum, z_mod: float):
     return np.where(keep, mp, m), np.where(keep, r, r0)
 
 
+def _solve_arrowhead(w, u, spec: SigmaSpectrum, z_mod: float):
+    """(m, |f|, n_candidates) from one arrowhead eigensolve per point, in real
+    arithmetic where every u is real; m = nan where no root is admissible."""
+    roots = arrowhead_eigvals(*_arrowhead(u, spec, z_mod))
+    adm = _admissible(roots, w[:, None])
+    lost = ~adm.any(axis=1) & (w.imag > 0)
+    if np.any(lost):
+        # above the real axis one root is admissible, but where Im w is near
+        # the rounding level of the eigensolve, so are its imaginary parts:
+        # Newton steps on f settle their signs before the filter
+        roots[lost] = _newton(w[lost, None], roots[lost], spec, z_mod)
+        adm[lost] = _admissible(roots[lost], w[lost, None])
+    ncand = adm.sum(axis=1)
+    idx = np.argmax(adm, axis=1)
+    multi = ncand > 1
+    if np.any(multi):
+        fabs = np.abs(master_f(w[multi, None], roots[multi], spec, z_mod))
+        idx[multi] = np.argmin(np.where(adm[multi], fabs, np.inf), axis=1)
+    ok = ncand > 0
+    m = np.full(w.shape, np.nan + 0j)
+    resid = np.full(w.shape, np.inf)
+    m[ok], resid[ok] = _polish(w[ok], roots[ok, idx[ok]], spec, z_mod)
+    return m, resid, ncand
+
+
+def _newton_certified(x, m, spec: SigmaSpectrum, z_mod: float):
+    """Newton steps on f at real x > 0 from m; returns (m, |f|, certified).
+
+    A row stops once its step is at most 1e-15 |m|, after at most
+    ANCHOR_NEWTON_MAX steps. Its root is certified when it is admissible,
+    |f| <= RESIDUAL_TOL, its forward error |f / f_m| is at most
+    FORWARD_RTOL |m|, and Im m exceeds that error by a factor 1e3: Newton also
+    settles on real roots, whose Im m is rounding noise.
+    """
+    m = m.copy()
+    active = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(ANCHOR_NEWTON_MAX):
+            f, fm = _f_fm(_atom_cubics(x[active], m[active], spec, z_mod))[:2]
+            step = f / fm
+            m[active] -= step
+            active[active] = ~(np.abs(step) <= 1e-15 * np.abs(m[active]))
+            if not active.any():
+                break
+        f, fm = _f_fm(_atom_cubics(x, m, spec, z_mod))[:2]
+        fwd = np.abs(f / fm)
+        ok = (_admissible(m, x) & (np.abs(f) <= RESIDUAL_TOL)
+              & (fwd <= FORWARD_RTOL * np.abs(m)) & (fwd < 1e-3 * m.imag))
+    return m, np.abs(f), ok
+
+
+def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float):
+    """(m, |f|, n_candidates) at real x > 0: the arrowhead at every
+    ANCHOR_STRIDE-th point in x order and the last (the anchors), certified
+    Newton from the nearest anchor's admissible root elsewhere, and the
+    arrowhead again at every point that fails certification."""
+    order = np.argsort(x, kind="stable")
+    anchor = np.zeros(x.shape, dtype=bool)
+    anchor[order[::ANCHOR_STRIDE]] = anchor[order[-1]] = True
+    m = np.full(x.shape, np.nan + 0j)
+    resid = np.full(x.shape, np.inf)
+    ncand = np.zeros(x.shape, dtype=int)
+    m[anchor], resid[anchor], ncand[anchor] = _solve_arrowhead(x[anchor], u[anchor], spec, z_mod)
+
+    # the nearest anchor in x; only an anchor inside the support seeds Newton
+    ak = np.nonzero(anchor)[0]
+    ak = ak[np.argsort(x[ak], kind="stable")]
+    j = np.clip(np.searchsorted(x[ak], x), 1, ak.size - 1)
+    near = np.where(x - x[ak[j - 1]] <= x[ak[j]] - x, ak[j - 1], ak[j])
+    rest = ~anchor
+    seeded = np.nonzero(rest & (ncand[near] > 0))[0]
+    try:
+        mn, rn, ok = _newton_certified(x[seeded], m[near[seeded]], spec, z_mod)
+    except SolverError:        # an iterate hit a pole of f: leave it to the arrowhead
+        ok = np.zeros(seeded.shape, dtype=bool)
+    done = seeded[ok]
+    m[done], resid[done], ncand[done] = mn[ok], rn[ok], 1
+    rest[done] = False
+    m[rest], resid[rest], ncand[rest] = _solve_arrowhead(x[rest], u[rest], spec, z_mod)
+    return m, resid, ncand
+
+
 def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float):
     """Vectorized master-equation solve for an array of w in the upper half-plane.
 
-    One arrowhead eigensolve per point, in real arithmetic when every w is
-    real and positive. Returns (m, m1, m2, residual, n_candidates). Entries
-    with no admissible root get m = nan and n_candidates = 0 (at real w:
-    outside the support). Raises SolverError when a polished admissible root
-    misses RESIDUAL_TOL.
+    Returns (m, m1, m2, residual, n_candidates). Entries with no admissible
+    root get m = nan and n_candidates = 0 (at real w: outside the support).
+    Raises SolverError when a returned root misses RESIDUAL_TOL.
+
+    Complex w, and batches of real w > 0 under 2 ANCHOR_STRIDE points, take
+    one arrowhead eigensolve per point. A larger batch of real w > 0 takes
+    it at its anchors only: every ANCHOR_STRIDE-th point in x order and the
+    last. Every other point runs Newton on f from its nearest anchor's
+    admissible root, and keeps the result only if it is certified (see
+    _newton_certified); the rest go to the arrowhead. At real x the
+    admissible root is unique, so a certified root is the one the arrowhead
+    would pick, and a point without one is decided by the arrowhead. The
+    last bits of a real-w root can therefore depend on the rest of its
+    batch; the same batch gives the same bits on every run.
     """
     w = np.asarray(w, dtype=complex)
     shape = w.shape
@@ -277,26 +379,12 @@ def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float):
     u = sqrt_upper(wf)
     if np.any(u == 0):
         raise DomainError("the master equation needs w != 0")
-    roots = arrowhead_eigvals(*_arrowhead(u.real if np.all(u.imag == 0) else u, spec, z_mod))
-    adm = _admissible(roots, wf[:, None])
-    lost = ~adm.any(axis=1) & (wf.imag > 0)
-    if np.any(lost):
-        # above the real axis one root is admissible, but where Im w is near
-        # the rounding level of the eigensolve, so are its imaginary parts:
-        # Newton steps on f settle their signs before the filter
-        roots[lost] = _newton(wf[lost, None], roots[lost], spec, z_mod)
-        adm[lost] = _admissible(roots[lost], wf[lost, None])
-    ncand = adm.sum(axis=1)
-    idx = np.argmax(adm, axis=1)
-    multi = ncand > 1
-    if np.any(multi):
-        fabs = np.abs(master_f(wf[multi, None], roots[multi], spec, z_mod))
-        idx[multi] = np.argmin(np.where(adm[multi], fabs, np.inf), axis=1)
-
+    real = bool(np.all(u.imag == 0))
+    if real and wf.size >= 2 * ANCHOR_STRIDE:
+        m, resid, ncand = _solve_anchored(wf.real, u.real, spec, z_mod)
+    else:
+        m, resid, ncand = _solve_arrowhead(wf, u.real if real else u, spec, z_mod)
     ok = ncand > 0
-    m = np.full(wf.shape, np.nan + 0j)
-    resid = np.full(wf.shape, np.inf)
-    m[ok], resid[ok] = _polish(wf[ok], roots[ok, idx[ok]], spec, z_mod)
     if np.any(resid[ok] > RESIDUAL_TOL):
         k = np.argmax(np.where(ok, resid, 0.0))
         raise SolverError(

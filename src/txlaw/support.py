@@ -302,7 +302,8 @@ def find_edges(
     inside end, with m the real part of the admissible root the scan solved
     there. The edge must land inside its bracket, and one batched support
     test must put e (1 -/+ EDGE_PROBE) inside and e (1 +/- EDGE_PROBE)
-    outside the support. Any failure rescans once at 4x resolution. An edge
+    outside the support. Any failure rescans once at 4x resolution; a second
+    failure raises BracketingError naming both scan sizes. An edge
     is `refined` when it also meets |f| <= EDGE_F_TOL, |df/dm| <= EDGE_DF_TOL.
     params.check_z rejects |z| in the excluded band around the unit circle.
     """
@@ -310,13 +311,17 @@ def find_edges(
     spec.require_normalized()
     scan_max = 4.0 * (spec.s[0] + z_mod * z_mod + 1.0)
 
-    last_err: Exception | None = None
-    for pts in (scan_points, 4 * scan_points):
-        try:
-            return _find_edges_once(spec, z_mod, pts, scan_max)
-        except BracketingError as exc:
-            last_err = exc
-    raise last_err  # type: ignore[misc]
+    try:
+        return _find_edges_once(spec, z_mod, scan_points, scan_max)
+    except BracketingError:
+        pass
+    try:
+        return _find_edges_once(spec, z_mod, 4 * scan_points, scan_max)
+    except BracketingError as exc:
+        raise BracketingError(
+            f"the support scan failed at {scan_points} and at {4 * scan_points} points "
+            f"({exc}); raise the scan resolution (--grid)"
+        ) from exc
 
 
 def _find_edges_once(

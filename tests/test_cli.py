@@ -281,6 +281,16 @@ def test_out_of_range_value_gives_one_error_line(tmp_path, fig2_file, capsys, ar
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("grid", [1, 2])
+def test_too_coarse_grid_names_both_scans(tmp_path, fig2_file, capsys, grid):
+    # the scan and its 4x rescan are too coarse to bracket fig2's edges
+    rc = main(["density", "--sigma", str(fig2_file), "--z", "0.5", "--grid", str(grid),
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"failed at {grid} and at {4 * grid} points" in err and "(--grid)" in err, err
+
+
 def test_usage_errors(tmp_path, fig2_file):
     assert main(["density", "--sigma", "/nope.cfg", "--out", str(tmp_path)]) == 2
     assert main(["bogus"]) == 2

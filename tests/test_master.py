@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import txlaw
 from txlaw.errors import DomainError, SolverError, TableTooCoarseError, TxlawError
 from txlaw.master import _arrowhead, _cubic_roots
+from txlaw.master import ANCHOR_STRIDE, _newton_certified, _solve_arrowhead
 from txlaw.sigma import MERGE_RTOL
+from txlaw.support import GRID_LO
 from conftest import dyson_transforms, mp_density, mp_stieltjes
 
 
@@ -271,10 +273,8 @@ def test_cubic_roots_rejects_lost_real_roots():
         _cubic_roots(np.array([1.0]), np.array([-1.0]), 1.0)
 
 
-@pytest.mark.parametrize("im_w", [0.0, 0.3])
-def test_one_eigensolve_per_master_solve(fig2_spec, monkeypatch, im_w):
-    # the per-atom cubics are solved in closed form; the arrowhead is the
-    # only eigensolve
+def _counting_eigvals(monkeypatch):
+    """Record the shape of every np.linalg.eigvals argument."""
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -283,10 +283,36 @@ def test_one_eigensolve_per_master_solve(fig2_spec, monkeypatch, im_w):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
-    w = np.linspace(0.05, 12.0, 50) + 1j * im_w
+    return calls
+
+
+def _scan_grid(spec, z, points=2000):
+    """The default support scan of find_edges."""
+    top = 4.0 * (spec.s[0] + z * z + 1.0)
+    return np.exp(np.linspace(np.log(GRID_LO), np.log(top), points))
+
+
+def test_one_eigensolve_per_complex_master_solve(fig2_spec, monkeypatch):
+    # the per-atom cubics are solved in closed form; the arrowhead is the
+    # only eigensolve, one call over all rows
+    calls = _counting_eigvals(monkeypatch)
+    w = np.linspace(0.05, 12.0, 50) + 0.3j
     _, _, _, _, ncand = txlaw.solve_master_batch(w, fig2_spec, 1.2)
-    assert len(calls) == 1 and calls[0][-1] == 3 * fig2_spec.n + 1
-    assert np.any(ncand > 0)
+    assert calls == [(50, 3 * fig2_spec.n + 1, 3 * fig2_spec.n + 1)]
+    assert np.all(ncand == 1)
+
+
+def test_real_axis_eigensolves_only_anchors_and_fallbacks(fig2_spec, monkeypatch):
+    # at real w two calls: the anchors, then the points Newton did not
+    # certify; together fewer than half of a 2,000-point scan, and no 3 x 3
+    # eigensolve (the cubics stay closed form). At |z| = 0.5 the support
+    # covers all of the scan but its top 4%
+    calls = _counting_eigvals(monkeypatch)
+    _, _, _, _, ncand = txlaw.solve_master_batch(_scan_grid(fig2_spec, 0.5), fig2_spec, 0.5)
+    assert 1 <= len(calls) <= 2
+    assert all(shape[1:] == (3 * fig2_spec.n + 1,) * 2 for shape in calls)
+    assert sum(shape[0] for shape in calls) < 1000
+    assert np.any(ncand > 0) and np.any(ncand == 0)
 
 
 def test_cubic_bounds_random_sweep():
@@ -441,6 +467,90 @@ def test_unique_admissible_root_many_atoms(many_spec):
         _, _, _, resid, ncand = txlaw.solve_master_batch(w[k::3], many_spec, z)
         assert np.all(ncand == 1)
         assert np.max(resid) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# real-axis batches: arrowhead anchors, certified Newton from them
+# ---------------------------------------------------------------------------
+
+def _arrowhead_only(x, spec, z):
+    """(m, ncand) of the arrowhead path alone at real x > 0 (the oracle)."""
+    m, _, ncand = _solve_arrowhead(x.astype(complex), np.sqrt(x), spec, z)
+    return m, ncand
+
+
+def _check_anchored_matches_arrowhead(spec, z):
+    x = _scan_grid(spec, z)
+    m, _, m2, _, ncand = txlaw.solve_master_batch(x, spec, z)
+    m_ref, ncand_ref = _arrowhead_only(x, spec, z)
+    assert np.array_equal(ncand > 0, ncand_ref > 0), (z, np.nonzero((ncand > 0) != (ncand_ref > 0)))
+    assert ncand.max() <= 1 and ncand_ref.max() <= 1
+    ok = ncand > 0
+    m2_ref = txlaw.m2_from_m1(m_ref[ok] / np.sqrt(x[ok]) - 1, x[ok], z)
+    return float(np.max(np.abs(m2[ok] - m2_ref) / np.abs(m2_ref), initial=0.0))
+
+
+@pytest.mark.parametrize("name", ["identity_spec", "fig2_spec", "many_spec"])
+def test_anchored_support_mask_matches_arrowhead(name, request):
+    # the inside mask of the default scan is the arrowhead's, with at most
+    # one admissible root per point, and m2 agrees with the arrowhead's
+    spec = request.getfixturevalue(name)
+    for z in (0.5, 1.2, 1.5):
+        assert _check_anchored_matches_arrowhead(spec, z) <= 1e-13
+
+
+def test_anchored_support_mask_matches_arrowhead_twoband(twoband_spec):
+    # the |z| sweep where a cusp opens a narrow gap near |z| = 1.41
+    for z in np.linspace(1.30, 1.80, 26):
+        assert _check_anchored_matches_arrowhead(twoband_spec, float(z)) <= 1e-13
+
+
+def test_near_real_newton_root_falls_back(fig2_spec):
+    # an anchor just inside fig2's top edge at |z| = 0.488 and points just
+    # outside it whose nearest anchor it is: Newton from its root settles on
+    # real roots with Im m at rounding level, admissible by sign, with a tiny
+    # residual and forward error; only the non-real margin rejects them
+    z = 0.488
+    top = txlaw.find_edges(fig2_spec, z).top_edge
+    near = top * (1 + np.logspace(-11, -5, ANCHOR_STRIDE - 1))
+    far = top * np.linspace(2.0, 3.0, ANCHOR_STRIDE)
+    x = np.r_[top * (1 - 1e-3), near, far]
+    m, _, _, _, ncand = txlaw.solve_master_batch(x, fig2_spec, z)
+    m_ref, ncand_ref = _arrowhead_only(x, fig2_spec, z)
+    assert ncand[0] == 1 and np.all(ncand[1:] == 0) and np.array_equal(ncand, ncand_ref)
+    mn, _, ok = _newton_certified(near, np.full(near.shape, m[0]), fig2_spec, z)
+    f, fm = (np.abs(v) for v in txlaw.master_f_all(near, mn, fig2_spec, z)[:2])
+    fooled = txlaw.master._admissible(mn, near) & (f <= 1e-12) & (f / fm <= 1e-13 * np.abs(mn))
+    assert not ok.any() and fooled.any()
+    assert np.all(mn[fooled].imag < 1e-15)
+
+
+@pytest.mark.parametrize("name", ["fig2_spec", "many_spec"])
+def test_anchored_roots_against_mpmath(name, request):
+    # the 20 density-table nodes where the anchored root moved most from the
+    # arrowhead's are within 1e-12 relative of 50-digit mpmath roots
+    spec = request.getfixturevalue(name)
+    for z in (0.5, 1.5):
+        x = txlaw.tabulate_density(spec, z).x
+        m = txlaw.solve_master_batch(x, spec, z)[0]
+        m_ref, ncand = _arrowhead_only(x, spec, z)
+        inside = np.nonzero(ncand > 0)[0]
+        moved = inside[np.argsort(-np.abs(m[inside] - m_ref[inside]) / np.abs(m_ref[inside]))[:20]]
+        for k in moved:
+            want = complex(_mp_root(x[k], m[k], spec, z, dps=50))
+            assert abs(m[k] - want) <= 1e-12 * abs(want), (z, x[k], m[k], want)
+
+
+def test_complex_w_takes_the_arrowhead_alone(many_spec):
+    # a batch with any non-real w is solved by the arrowhead at every point,
+    # bit for bit, including its real entries
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0.01, 20.0, 4 * ANCHOR_STRIDE)
+    for w in (x + 1j * 10.0 ** rng.uniform(-6, 0, x.size), np.r_[x, 1.0 + 0.1j]):
+        m, _, _, _, ncand = txlaw.solve_master_batch(w, many_spec, 1.2)
+        u = txlaw.sqrt_upper(w)
+        m_ref, _, ncand_ref = _solve_arrowhead(w, u, many_spec, 1.2)
+        assert np.array_equal(m, m_ref, equal_nan=True) and np.array_equal(ncand, ncand_ref)
 
 
 def test_empty_batch(fig2_spec):
@@ -605,8 +715,8 @@ def test_domain_and_pole_errors(fig2_spec):
         txlaw.m2_from_m1(-1.0 + 0j, 2.0 + 0j, 0.0)
 
 
-def _mp_rho2(x, m0, spec, z, dps=40):
-    """rho2 at real x from an mpmath root of f started at m0, at dps digits."""
+def _mp_root(x, m0, spec, z, dps=40):
+    """The root of f at real x that mpmath's findroot reaches from m0, at dps digits."""
     with mpmath.workdps(dps):
         x, z2 = mpmath.mpf(x), mpmath.mpf(z) ** 2
         u = mpmath.sqrt(x)
@@ -620,7 +730,15 @@ def _mp_rho2(x, m0, spec, z, dps=40):
 
         m = mpmath.findroot(f, mpmath.mpc(m0))
         assert m.imag > 0 and abs(f(m)) < mpmath.mpf(10) ** (10 - dps)
-        q = m / u                                   # 1 + m1
+        return m
+
+
+def _mp_rho2(x, m0, spec, z, dps=40):
+    """rho2 at real x from an mpmath root of f started at m0, at dps digits."""
+    with mpmath.workdps(dps):
+        m = _mp_root(x, m0, spec, z, dps)
+        x, z2 = mpmath.mpf(x), mpmath.mpf(z) ** 2
+        q = m / mpmath.sqrt(x)                      # 1 + m1
         return float((q / (z2 - x * q * q)).imag / mpmath.pi)
 
 
