@@ -330,16 +330,15 @@ def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float):
     Newton from the nearest anchor's admissible root elsewhere, and the
     arrowhead again at every point that fails certification."""
     order = np.argsort(x, kind="stable")
+    ak = order[np.unique(np.r_[0:x.size:ANCHOR_STRIDE, x.size - 1])]   # ascending in x
     anchor = np.zeros(x.shape, dtype=bool)
-    anchor[order[::ANCHOR_STRIDE]] = anchor[order[-1]] = True
+    anchor[ak] = True
     m = np.full(x.shape, np.nan + 0j)
     resid = np.full(x.shape, np.inf)
     ncand = np.zeros(x.shape, dtype=int)
-    m[anchor], resid[anchor], ncand[anchor] = _solve_arrowhead(x[anchor], u[anchor], spec, z_mod)
+    m[ak], resid[ak], ncand[ak] = _solve_arrowhead(x[ak], u[ak], spec, z_mod)
 
     # the nearest anchor in x; only an anchor inside the support seeds Newton
-    ak = np.nonzero(anchor)[0]
-    ak = ak[np.argsort(x[ak], kind="stable")]
     j = np.clip(np.searchsorted(x[ak], x), 1, ak.size - 1)
     near = np.where(x - x[ak[j - 1]] <= x[ak[j]] - x, ak[j - 1], ak[j])
     rest = ~anchor

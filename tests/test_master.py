@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import txlaw
 from txlaw.errors import DomainError, SolverError, TableTooCoarseError, TxlawError
-from txlaw.master import _arrowhead, _cubic_roots
-from txlaw.master import ANCHOR_STRIDE, _newton_certified, _solve_arrowhead
+from txlaw.master import (ANCHOR_STRIDE, _arrowhead, _cubic_roots, _newton_certified,
+                          _solve_arrowhead)
 from txlaw.sigma import MERGE_RTOL
 from txlaw.support import GRID_LO
 from conftest import dyson_transforms, mp_density, mp_stieltjes
