@@ -177,12 +177,21 @@ def blas_threads(n: int):
         set_(before)
 
 
-def qr_haar(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR with R-sign correction."""
-    if n < 1:
-        raise InputError("qr_haar needs n >= 1")
+def qr_haar(n: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
+    """The first k columns (default all n) of an n x n Haar orthogonal matrix.
+
+    Draws the whole n x n Gaussian block G, so the generator advances by the
+    same n^2 normals for every k, but factors only G[:, :k]: a reduced QR
+    with R-sign correction (Mezzadri, Notices AMS 54, 2007). The first k
+    columns of the full sign-corrected Q depend only on G[:, :k], so the
+    sample is the same for every k; only the rounding of LAPACK's blocking
+    can differ in the last bits.
+    """
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise InputError(f"qr_haar needs 1 <= k <= n, got n = {n}, k = {k}")
     G = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
+    Q, R = np.linalg.qr(G[:, :k])
     sgn = np.sign(np.diag(R))
     sgn[sgn == 0] = 1.0
     return Q * sgn

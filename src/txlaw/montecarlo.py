@@ -104,15 +104,22 @@ def sample_entries(rng: np.random.Generator, shape, dist: str, K: int) -> np.nda
 
 
 def build_t(cfg: EnsembleConfig, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic factor T of shape (N, M) with Sigma spectrum cfg.spec."""
+    """Deterministic factor T of shape (N, M) with Sigma spectrum cfg.spec.
+
+    Diagonal: d = sqrt(Sigma) on the leading K x K diagonal; nothing is drawn.
+    Haar: T = U D V with D that zero-padded diagonal, which reads only U's
+    first K columns and V's first K rows. So T = (U[:, :K] * d) @ V[:K], with
+    U[:, :K] from a reduced QR of an N x K block and V from a full M x M QR;
+    no N x M diagonal is formed. Square T keeps every bit of U @ D @ V. For
+    N != M the sample is the same but the last bits can move: the reduced QR
+    rounds differently (N > M), and gemm sums without D's zero columns (N < M).
+    """
     d = np.sqrt(cfg.spec.expand())
     N, M, K = cfg.N, cfg.M, cfg.K
+    if cfg.t_mode == "haar":
+        return (qr_haar(N, rng, K) * d) @ qr_haar(M, rng)[:K]
     T = np.zeros((N, M))
     T[np.arange(K), np.arange(K)] = d
-    if cfg.t_mode == "haar":
-        U = qr_haar(N, rng)
-        V = qr_haar(M, rng)
-        T = U @ T @ V
     return T
 
 
@@ -132,20 +139,29 @@ def sample_run(cfg: EnsembleConfig, run_index: int) -> RunResult:
     and entry variance), and the other N - M eigenvalues are exact zeros.
     The singular spectra are those of P - z.
 
+    A Haar T is multiplied densely. A diagonal T is not formed: it draws
+    nothing, so X is the same, and P is X's leading K x K block (transposed
+    for N > M) with row i scaled by d_i, bit for bit the dense product.
+
     The per-run RNG is derived from (seed, run_index), so results do not
     depend on scheduling or worker count.
     """
     t0 = time.perf_counter()
+    K = cfg.K
     try:
-        T, X = _draw(cfg, run_index)
-        P = T @ X if cfg.N <= cfg.M else T.T @ X.T
+        if cfg.t_mode == "haar":
+            T, X = _draw(cfg, run_index)
+            P = T @ X if cfg.N <= cfg.M else T.T @ X.T
+        else:
+            X = sample_entries(_rng_for_run(cfg.seed, run_index), (cfg.M, cfg.N), cfg.x_dist, K)
+            P = np.sqrt(cfg.spec.expand())[:, None] * (X[:K] if cfg.N <= cfg.M else X[:, :K].T)
         eig = general_eigenvalues(P)
         if cfg.N > cfg.M:
             eig = np.sort_complex(np.concatenate([eig, np.zeros(cfg.N - cfg.M)]))
         singular: dict[complex, np.ndarray] = {}
         for z in cfg.z_list:
             zy = z.real if z.imag == 0 else z      # a real z keeps Y and Y^dag Y real
-            Y = P - zy * np.eye(cfg.K)
+            Y = P - zy * np.eye(K)
             lam = symmetric_eigvals(Y.conj().T @ Y)
             singular[z] = np.maximum(lam, 0.0)   # clip eigensolver noise at 0
     except np.linalg.LinAlgError as exc:

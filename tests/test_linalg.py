@@ -132,6 +132,26 @@ def test_qr_haar_orthogonal():
         assert np.abs(Q.T @ Q - np.eye(n)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (16, 1), (16, 5), (40, 20), (200, 150)])
+def test_qr_haar_leading_columns(n, k):
+    # qr_haar(n, rng, k) factors only the first k columns of the Gaussian block:
+    # orthonormal columns, the same sample as the full matrix's first k columns
+    # on the same seed, and the same stream position afterwards for every k
+    rng_k, rng_full = np.random.default_rng(n * 100 + k), np.random.default_rng(n * 100 + k)
+    Q = txlaw.qr_haar(n, rng_k, k)
+    assert Q.shape == (n, k)
+    assert np.abs(Q.T @ Q - np.eye(k)).max() < 1e-12
+    assert np.abs(Q - txlaw.qr_haar(n, rng_full)[:, :k]).max() < 1e-13
+    assert np.array_equal(rng_k.standard_normal(8), rng_full.standard_normal(8))
+
+
+def test_qr_haar_rejects_bad_k():
+    rng = np.random.default_rng(0)
+    for n, k in ((0, None), (3, 0), (3, 4)):
+        with pytest.raises(InputError):
+            txlaw.qr_haar(n, rng, k)
+
+
 def test_qr_haar_sign_symmetry():
     # n=1: +-1 with near-equal frequency
     rng = np.random.default_rng(42)

@@ -138,6 +138,33 @@ def test_eigenvalues_from_reduced_product(t_mode, x_dist):
         T, X = montecarlo._draw(cfg, 0)
         assert np.array_equal(txlaw.sample_run(cfg, 0).eigenvalues,
                               linalg.general_eigenvalues(T @ X))
+    if t_mode == "diagonal":
+        # the row-scaled P of a tall diagonal run is the dense T^T X^T bit for bit,
+        # so its singular spectra are too
+        z = 0.5 + 0j
+        spec = txlaw.SigmaSpectrum(s=(32 / 17, 2 / 17), l=(10, 10), N=40, M=20)
+        cfg = small_cfg(spec, runs=1, t_mode=t_mode, x_dist=x_dist, seed=71, z_list=(z,))
+        T, X = montecarlo._draw(cfg, 0)
+        Y = T.T @ X.T - z.real * np.eye(cfg.K)
+        ref = np.maximum(linalg.symmetric_eigvals(Y.T @ Y), 0.0)
+        assert np.array_equal(txlaw.sample_run(cfg, 0).singular[z], ref)
+
+
+def test_haar_t_factors_only_what_it_reads(monkeypatch):
+    # U's factor is a reduced QR of its N x K block: nothing larger than
+    # 40 x 20 is factored for N = 40, M = 20
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.np.linalg, "qr", recording_qr)
+    spec = txlaw.SigmaSpectrum(s=(32 / 17, 2 / 17), l=(10, 10), N=40, M=20)
+    T = build_t(small_cfg(spec, t_mode="haar"), np.random.default_rng(3))
+    assert T.shape == (40, 20)
+    assert sorted(shapes) == [(20, 20), (40, 20)]
 
 
 @pytest.mark.parametrize("N, M, z", [(1200, 600, 0.5), (600, 1200, 1.5)])
