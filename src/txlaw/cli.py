@@ -213,7 +213,7 @@ def _write_checks(outdir: Path, name: str, results: dict) -> int:
 def cmd_verify(args, outdir: Path, manifest: dict) -> int:
     from .verify_suites import run_suite
 
-    results = run_suite(args.suite, _params(args), args)
+    results = run_suite(args.suite, args)
     return _write_checks(outdir, "verify.json", results)
 
 
@@ -238,7 +238,7 @@ COMMANDS = {
     "simulate": (cmd_simulate, "sample ensembles and dump spectra (--zband has no effect)",
                  ("--sigma", "--z", "--zband", "--N", "--M") + _ENSEMBLE),
     "verify": (cmd_verify, "run a named verification suite",
-               ("--suite", "--zband", "--N") + _ENSEMBLE),
+               ("--suite", "--N") + _ENSEMBLE),
     "selfcheck": (cmd_selfcheck, "fast internal consistency checks", ()),
 }
 

@@ -264,12 +264,20 @@ def _admissible(m, w):
     return (m1.imag > 0) & ((w * m1).imag > 0)
 
 
-def _newton(w, m, spec: SigmaSpectrum, z_mod: float):
-    """POLISH_STEPS Newton steps on f from m; a row with df/dm = 0 stays put."""
+def _newton(w, m, spec: SigmaSpectrum, z_mod: float, steps=POLISH_STEPS, rtol=0.0):
+    """Up to `steps` Newton steps on f from m (w broadcast to it); a row stops
+    once its step is at most rtol |m|, and one with df/dm = 0 stays put."""
+    m = np.array(m, dtype=complex)
+    w = np.broadcast_to(w, m.shape)
+    active = np.ones(m.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(POLISH_STEPS):
-            f, fm = _f_fm(_atom_cubics(w, m, spec, z_mod))[:2]
-            m = m - np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
+        for _ in range(steps):
+            f, fm = _f_fm(_atom_cubics(w[active], m[active], spec, z_mod))[:2]
+            step = np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
+            m[active] -= step
+            active[active] = ~(np.abs(step) <= rtol * np.abs(m[active]))
+            if not active.any():
+                break
     return m
 
 
@@ -322,16 +330,8 @@ def _newton_certified(x, m, spec: SigmaSpectrum, z_mod: float):
     FORWARD_RTOL |m|, and Im m exceeds that error by a factor 1e3: Newton also
     settles on real roots, whose Im m is rounding noise.
     """
-    m = m.copy()
-    active = np.ones(x.shape, dtype=bool)
+    m = _newton(x, m, spec, z_mod, ANCHOR_NEWTON_MAX, 1e-15)
     with np.errstate(all="ignore"):
-        for _ in range(ANCHOR_NEWTON_MAX):
-            f, fm = _f_fm(_atom_cubics(x[active], m[active], spec, z_mod))[:2]
-            step = f / fm
-            m[active] -= step
-            active[active] = ~(np.abs(step) <= 1e-15 * np.abs(m[active]))
-            if not active.any():
-                break
         f, fm = _f_fm(_atom_cubics(x, m, spec, z_mod))[:2]
         fwd = np.abs(f / fm)
         ok = (_admissible(m, x) & (np.abs(f) <= RESIDUAL_TOL)

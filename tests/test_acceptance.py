@@ -10,40 +10,32 @@ import time
 import numpy as np
 
 import txlaw
-from conftest import bisect_g_oracle, dyson_gap_edge, mp_density
+from txlaw import verify_suites
+from conftest import dyson_gap_edge
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {num:02d} [{'PASS' if ok else 'FAIL'}] {detail}")
 
 
-def _fig2_at(K: int) -> txlaw.SigmaSpectrum:
-    return txlaw.SigmaSpectrum(s=(32 / 17, 2 / 17), l=(K // 2, K // 2), N=K, M=K)
-
-
-def test_criterion_01_mp_oracle(identity_spec):
+def test_criterion_01_mp_oracle():
     t0 = time.perf_counter()
-    x = np.linspace(0.1, 3.9, 381)
-    _, rho2 = txlaw.density_batch(x, identity_spec, 0.0)
-    err = float(np.max(np.abs(rho2 - mp_density(x))))
-    prof = txlaw.find_edges(identity_spec, 0.0)
-    lo, hi = prof.bands_ascending[0]
+    res = verify_suites.criterion_01_mp()
+    err = res["max_abs_err"]
+    lo, hi = res["edges"]
     elapsed = time.perf_counter() - t0
     ok = err <= 1e-6 and lo == 0.0 and abs(hi - 4.0) <= 1e-8 and elapsed < 5.0
     _report(1, ok, f"MP density err {err:.2e}, edges ({lo}, {hi:.10f}), {elapsed:.1f}s")
     assert err <= 1e-6
     assert lo == 0.0 and abs(hi - 4.0) <= 1e-8
     assert elapsed < 5.0
+    assert res["passed"] == ok
 
 
-def test_criterion_02_circular_law_limit(identity_spec):
+def test_criterion_02_circular_law_limit():
     t0 = time.perf_counter()
-    prof = txlaw.compute_radial_profile(identity_spec, 0.1, 2.0, h=0.005)
-    inside = (prof.r >= 0.1) & (prof.r <= 0.85)
-    outside = (prof.r >= 1.15) & (prof.r <= 2.0)
-    dev_in = float(np.max(np.abs(prof.chi[inside] - 1.0)))
-    dev_out = float(np.max(np.abs(prof.chi[outside])))
-    F115 = float(prof.F_at(np.array([1.15]))[0])
+    res = verify_suites.criterion_02_circular_law()
+    dev_in, dev_out, F115 = res["chi_in_dev"], res["chi_out_dev"], res["F_1p15"]
     elapsed = time.perf_counter() - t0
     ok = dev_in <= 0.02 and dev_out <= 0.02 and 0.98 <= F115 <= 1.02 and elapsed < 60
     _report(2, ok, f"chi dev in {dev_in:.4f} / out {dev_out:.4f}, "
@@ -52,6 +44,7 @@ def test_criterion_02_circular_law_limit(identity_spec):
     assert dev_out <= 0.02
     assert 0.98 <= F115 <= 1.02
     assert elapsed < 60
+    assert res["passed"] == ok
 
 
 def test_criterion_03_fig_reproduction(fig2_spec):
@@ -98,61 +91,20 @@ def test_criterion_03_fig_reproduction(fig2_spec):
 
 def test_criterion_04_invariant_sweep():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    violations = []
-    for i in range(100):
-        n = int(rng.integers(1, 4))
-        raw = np.unique(np.sort(rng.uniform(0.2, 4.0, n))[::-1])[::-1]
-        spec, _ = txlaw.normalize_spectrum(raw, [8] * raw.size, 8 * raw.size,
-                                           8 * raw.size)
-        z = float(rng.uniform(0.1, 2.0))
-        if abs(z * z - 1) < 0.1:
-            z = 1.6
-        w = float(rng.uniform(0.05, 12.0))
-        try:
-            fac = txlaw.cubic_factorize(w, spec, z)
-            u, z2 = np.sqrt(w), z * z
-            s = np.asarray(spec.s)
-            nmul = raw.size
-            ok = (
-                np.all(fac.a > np.maximum(z, (s + z2) / u))
-                and np.all(fac.a < (s + z2) / u + z)
-                and np.all((0 < fac.b) & (fac.b < min(z, z2 / u)))
-                and np.all(fac.c < z)
-                and np.all(
-                    fac.c > (-(s + z2) + np.sqrt((s + z2) ** 2 + 4 * w * z2)) / (2 * u)
-                )
-                and np.all((fac.A > 0) & (fac.A <= 2 * (s + z2 + u * z) / w))
-                and np.all((fac.B > 0) & (fac.B <= 2 * (s + z2 + u * z) / w))
-                and np.all((fac.C > 0) & (fac.C <= (s + z2 + u * z) / w))
-            )
-            if nmul > 1:
-                ok = ok and np.all(np.diff(fac.a) < 0) and np.all(
-                    np.diff(fac.b) > 0
-                ) and np.all(np.diff(fac.c) > 0)
-            cps = txlaw.critical_points(w, spec, z)
-            ok = ok and cps.occupancy_ok(spec.n) and cps.ordering_ok
-            ok = ok and bool(
-                np.all(np.abs(cps.critical_values + u) <= cps.value_bound)
-            )
-            if not ok:
-                violations.append((i, z, w))
-        except txlaw.TxlawError as exc:
-            violations.append((i, z, w, str(exc)))
+    res = verify_suites.criterion_04_invariants()
+    violations = res["violations"]
     elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 60
     _report(4, ok, f"{len(violations)} violations in 100 instances, {elapsed:.1f}s")
     assert not violations, violations
     assert elapsed < 60
+    assert res["passed"] == ok
 
 
-def test_criterion_05_small_w_asymptote(fig2_spec):
+def test_criterion_05_small_w_asymptote():
     t0 = time.perf_counter()
-    t_oracle = bisect_g_oracle(fig2_spec, 0.5)
-    sol = txlaw.solve_master(1e-8 * (1 + 1j), fig2_spec, 0.5)
-    gap = abs(sol.m_c - 1j * np.sqrt(t_oracle))
-    t_small = txlaw.zero_edge_scale(fig2_spec, 0.01)
-    t0_gap = abs(t_small - 64 / 289)
+    res = verify_suites.criterion_05_small_w()
+    gap, t0_gap = res["m_gap"], res["t_small_gap"]
     elapsed = time.perf_counter() - t0
     ok = gap <= 1e-3 and t0_gap <= 1e-4 and elapsed < 5
     _report(5, ok, f"|m_c - i sqrt(t)| = {gap:.2e}, |t(0.01) - 64/289| = {t0_gap:.2e}, "
@@ -160,45 +112,26 @@ def test_criterion_05_small_w_asymptote(fig2_spec):
     assert gap <= 1e-3
     assert t0_gap <= 1e-4
     assert elapsed < 5
+    assert res["passed"] == ok
 
 
-def test_criterion_06_stieltjes_consistency(fig2_spec):
+def test_criterion_06_stieltjes_consistency():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(6)
-    worst = 0.0
-    for z in (0.5, 1.5):
-        table = txlaw.tabulate_density(fig2_spec, z)
-        w = rng.uniform(0.3, 8.0, 10) + 1j * rng.uniform(0.1, 1.0, 10)
-        worst = max(worst, txlaw.verify_stieltjes(table, w, fig2_spec, z))
+    res = verify_suites.criterion_06_stieltjes()
+    worst = res["max_rel_dev"]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and elapsed < 30
     _report(6, ok, f"max relative deviation {worst:.2e}, {elapsed:.0f}s")
     assert worst <= 1e-4
     assert elapsed < 30
+    assert res["passed"] == ok
 
 
-def test_criterion_07_esd_match(fig2_spec, fig2_radial_profile):
+def test_criterion_07_esd_match():
     t0 = time.perf_counter()
-    z = 1.5
-    cfg = txlaw.EnsembleConfig(
-        N=1000, M=1000, spec=fig2_spec, x_dist="gauss", t_mode="diagonal",
-        z_list=(complex(z),), runs=20, seed=77, threads=2,
-    )
-    runs = txlaw.run_ensemble(cfg)
-    table = txlaw.tabulate_density(fig2_spec, z)
-    xs = np.linspace(table.bands[0][0], table.bands[-1][1], 800)
-    cdf = table.cdf2(xs)
-    devs = []
-    for r in runs:
-        lam = np.sort(r.singular[complex(z)])
-        emp = np.searchsorted(lam, xs, side="right") / lam.size
-        devs.append(float(np.max(np.abs(emp - cdf))))
-    sing_med = float(np.median(devs))
-    radial = txlaw.radial_esd_cdf(cfg, fig2_radial_profile, runs=runs)
-    rad_med = float(np.median(radial["sup_dev"]))
-    chi_floor = float(np.min(
-        fig2_radial_profile.chi[np.isfinite(fig2_radial_profile.chi)]
-    ))
+    res = verify_suites.criterion_07_esd(1000, 20, 77, 2, "gauss", "diagonal")
+    sing_med, rad_med = res["singular_median_sup_dev"], res["radial_median_sup_dev"]
+    chi_floor = res["chi_floor"]
     elapsed = time.perf_counter() - t0
     ok = (sing_med <= 0.02 and rad_med <= 0.04 and chi_floor >= -2e-2
           and elapsed < 1200)
@@ -209,12 +142,13 @@ def test_criterion_07_esd_match(fig2_spec, fig2_radial_profile):
     assert rad_med <= 0.04
     assert chi_floor >= -2e-2
     assert elapsed < 1200
+    assert res["passed"] == ok
 
 
 def test_criterion_08_averaged_local_law(fig2_spec):
     t0 = time.perf_counter()
     N = 500
-    spec = _fig2_at(N)
+    spec = verify_suites.fig2_at(N)
     z = 1.5
     cfg = txlaw.EnsembleConfig(
         N=N, M=N, spec=spec, z_list=(complex(z),), runs=20, seed=88, threads=2,
@@ -239,7 +173,7 @@ def test_criterion_09_rigidity(fig2_spec):
     z = 1.5
     meds = {}
     for N in (1000, 2000):
-        spec = _fig2_at(N)
+        spec = verify_suites.fig2_at(N)
         cfg = txlaw.EnsembleConfig(
             N=N, M=N, spec=spec, z_list=(complex(z),), runs=20, seed=99,
             threads=2,

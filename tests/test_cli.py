@@ -179,12 +179,34 @@ def test_simulate_reports_failed_run(tmp_path, fig2_file, monkeypatch, capsys):
     assert sorted({int(row.split(",")[0]) for row in eig}) == [0, 2]
 
 
-def test_verify_suite_small(tmp_path):
+SUITES = {"mp": "criterion_01_mp", "circular-law": "criterion_02_circular_law",
+          "invariants": "criterion_04_invariants", "small-w": "criterion_05_small_w",
+          "stieltjes": "criterion_06_stieltjes", "esd": "criterion_07_esd"}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_suite_small(tmp_path, suite):
     out = tmp_path / "v"
-    rc = main(["verify", "--suite", "small-w", "--out", str(out)])
+    size = ["--N", "100", "--runs", "2"] if suite == "esd" else []
+    rc = main(["verify", "--suite", suite, *size, "--out", str(out)])
     assert rc == 0
     data = json.loads((out / "verify.json").read_text())
-    assert data["small_w"]["passed"]
+    assert data[suite.replace("-", "_")]["passed"] is True
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_suite_runs_its_criterion(tmp_path, monkeypatch, suite):
+    from txlaw import verify_suites
+
+    calls = []
+    monkeypatch.setattr(verify_suites, SUITES[suite],
+                        lambda *args: calls.append(args) or {"passed": True, "marker": 1})
+    rc = main(["verify", "--suite", suite, "--out", str(tmp_path)])
+    assert rc == 0 and len(calls) == 1
+    data = json.loads((tmp_path / "verify.json").read_text())
+    assert data == {suite.replace("-", "_"): {"passed": True, "marker": 1}}
+    if suite == "esd":
+        assert calls == [(400, 20, 0, 2, "gauss", "diagonal")]
 
 
 def test_selfcheck(tmp_path):
@@ -203,7 +225,7 @@ COMMAND_FLAGS = {
     "quantiles": _LAW | {"--N", "--M"},
     "chi": {"--sigma", "--zband", "--rmin", "--rmax", "--rstep", "--out"},
     "simulate": {"--sigma", "--z", "--zband", "--N", "--M", "--out"} | _ENSEMBLE,
-    "verify": {"--suite", "--zband", "--N", "--out"} | _ENSEMBLE,
+    "verify": {"--suite", "--N", "--out"} | _ENSEMBLE,
     "selfcheck": {"--out"},
 }
 
@@ -224,7 +246,7 @@ def _parser_flags() -> dict[str, set[str]]:
 
 def test_each_command_takes_only_the_flags_it_reads():
     assert _parser_flags() == COMMAND_FLAGS
-    assert sum(len(_settable(p)) for p in _subparsers().values()) == 44
+    assert sum(len(_settable(p)) for p in _subparsers().values()) == 43
 
 
 @pytest.mark.parametrize("argv", [
@@ -291,10 +313,13 @@ def test_too_coarse_grid_names_both_scans(tmp_path, fig2_file, capsys, grid):
     assert f"failed at {grid} and at {4 * grid} points" in err and "(--grid)" in err, err
 
 
-def test_usage_errors(tmp_path, fig2_file):
+def test_usage_errors(tmp_path, fig2_file, capsys):
     assert main(["density", "--sigma", "/nope.cfg", "--out", str(tmp_path)]) == 2
     assert main(["bogus"]) == 2
     assert main(["verify", "--suite", "esd", "--N", "0", "--out", str(tmp_path / "v")]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--suite", "esd", "--N", "401", "--out", str(tmp_path / "v")]) == 2
+    assert "error: --N must be even and at least 2" in capsys.readouterr().err
     bad = tmp_path / "bad.cfg"
     bad.write_text("N = 4\nM = 4\nd = [1, oops]\n")
     assert main(["density", "--sigma", str(bad), "--out", str(tmp_path / "x")]) == 2
@@ -323,13 +348,14 @@ def test_commands_run_without_scipy(tmp_path, fig2_file):
         f"    rc = cli.main([cmd, '--sigma', {str(fig2_file)!r}, '--z', '0.5',\n"
         f"                  '--out', {str(tmp_path / 'out')!r} + cmd])\n"
         "    assert rc == 0, (cmd, rc)\n"
+        "print([m for m in ('txlaw.verify_suites', 'txlaw.oracles') if m in sys.modules])\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
     edges = json.loads((tmp_path / "outedges" / "edges.json").read_text())
     assert edges["zero_edge"]["t"] > 0
 
@@ -337,7 +363,6 @@ def test_commands_run_without_scipy(tmp_path, fig2_file):
 @pytest.mark.parametrize("script, args", [
     ("density_scan.py", ["--z", "0.5", "--resolution", "200"]),
     ("radial_demo.py", ["--step", "0.01"]),
-    ("ensemble_check.py", ["--N", "100", "--runs", "2"]),
     ("output_digest.py", ["digest"]),
     ("output_diff.py", ["a", "b"]),
 ])

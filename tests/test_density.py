@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 import txlaw
 from txlaw import density
 from txlaw.errors import DomainError
-from conftest import mp_density
+from txlaw.oracles import mp_density
 
 
 def mp_cdf_oracle(x):

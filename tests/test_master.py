@@ -16,7 +16,8 @@ from txlaw.master import (ANCHOR_STRIDE, _arrowhead, _certified_outside, _cubic_
                           _witnesses)
 from txlaw.sigma import MERGE_RTOL
 from txlaw.support import GRID_LO
-from conftest import dyson_transforms, mp_density, mp_stieltjes
+from txlaw.oracles import mp_density
+from conftest import dyson_transforms, mp_stieltjes
 
 
 def _mp_cubic_roots(u, s, z2):

@@ -9,7 +9,8 @@ import pytest
 import txlaw
 from txlaw import support
 from txlaw.errors import DomainError, SolverError
-from conftest import bisect_g_oracle, dyson_gap_edge
+from txlaw.oracles import bisect_g_oracle
+from conftest import dyson_gap_edge
 
 
 def mp_zero_edge_root(spec, z, dps=40):
