@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -58,6 +59,7 @@ def _checked(convert, ok, what: str):
 
 
 _FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 # every flag a command can take: option string -> add_argument keywords
 FLAGS = {
@@ -66,10 +68,9 @@ FLAGS = {
                                               "stieltjes", "circular-law", "esd"]),
     "--z": dict(type=_FINITE, default=0.0, help="|z| modulus"),
     "--zband": dict(type=_FINITE, default=0.05, help="excluded band half-width on |z|^2"),
-    "--grid": dict(type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=2000,
-                   help="scan or table resolution"),
-    "--N": dict(type=int, default=None),
-    "--M": dict(type=int, default=None),
+    "--grid": dict(type=_POSITIVE, default=2000, help="scan or table resolution"),
+    "--N": dict(type=_POSITIVE, default=None),
+    "--M": dict(type=_POSITIVE, default=None),
     "--runs": dict(type=int, default=20),
     "--seed": dict(type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0),
     "--threads": dict(type=int, default=2),
@@ -82,7 +83,11 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command. Parsing leaves no state in it, so a
+    process builds it once, on its first call, and reuses it; importing this
+    module builds none."""
     ap = argparse.ArgumentParser(prog="txlaw", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

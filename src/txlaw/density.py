@@ -472,11 +472,15 @@ def compute_radial_profile(
 
 def _write_csv(path, header: str, *columns) -> None:
     """The header, then one row per index of the columns with every value in
-    .17g, all lines ended by CRLF as csv.writer ends them."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    lines = [header, *(",".join(format(v, ".17g") for v in row) for row in rows)]
+    %.17g, all lines ended by CRLF as csv.writer ends them.
+
+    The rows are formatted by one % over the column-stacked values; an
+    integer column is exact as float64 up to 2**53.
+    """
+    values = np.column_stack(columns)
+    rows = (",".join(["%.17g"] * len(columns)) + "\r\n") * values.shape[0]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(header + "\r\n" + rows % tuple(values.ravel().tolist()))
 
 
 def write_density_csv(table: DensityTable, path) -> None:

@@ -5,8 +5,9 @@ endpoints satisfy f = df/dm = 0 simultaneously. A real x > 0 lies in the
 support iff the master equation at w = x has an admissible root. A
 log-uniform scan of that test brackets each edge between two grid points;
 a two-variable real Newton iteration on (f, df/dm) = 0, started at the
-bracket's inside end from the root the scan solved there, finds the edge,
-and one batched probe of the test confirms that the support flips at it.
+bracket's inside end from the root the scan solved there, finds the edge
+(one batch for all of a scan's edges), and one batched probe of the test
+confirms that the support flips at it.
 For |z| < 1 the lowest band reaches 0 where the density diverges like
 x^(-1/2) with a computable scale t.
 """
@@ -258,34 +259,57 @@ def _inside(x: np.ndarray, spec: SigmaSpectrum, z_mod: float):
     return solve_master_batch(x, spec, z_mod)[4] > 0
 
 
-def _refine_edge_newton(
-    E0: float, m0: float, spec: SigmaSpectrum, z_mod: float
-) -> tuple[float, float, float, float, float] | None:
-    """Newton on (f, df/dm)(u, m) = 0 over real (u = sqrt(w), m).
+def _refine_edges_newton(
+    E0: np.ndarray, m0: np.ndarray, spec: SigmaSpectrum, z_mod: float
+) -> list[tuple[float, float, float, float, float] | None]:
+    """Newton on (f, df/dm)(u, m) = 0 over real (u = sqrt(w), m), one row per
+    start (E0_k, m0_k), all rows in one batch.
 
-    Returns (e, m, |f|, |df/dm|, d2f/dm2) or None when the iteration leaves
-    the trust region or the Jacobian degenerates.
+    Row k gives (e, m, |f|, |df/dm|, d2f/dm2), or None when its iteration
+    leaves the trust region or its Jacobian degenerates. A row stops once its
+    step is below 1e-14 relative. The rows still running share one
+    master_f_all call and one stacked solve per step; both act row by row
+    (the solve is one LAPACK gesv per matrix), so a row's result does not
+    depend on the other rows. A singular Jacobian makes the stacked solve
+    raise; that step is then solved row by row.
     """
     u = np.sqrt(E0)
-    m = m0
+    m = np.array(m0, dtype=float)
+    cap = 100 * np.maximum(1.0, E0)
+    failed = np.zeros(u.shape, dtype=bool)
+    active = ~failed
     for _ in range(EDGE_NEWTON_MAX):
-        f, fm, fmm, fu, fum = master_f_all(u * u, m, spec, z_mod)
-        f, fm, fmm, fu, fum = (
-            np.real(f), np.real(fm), np.real(fmm), np.real(fu), np.real(fum),
-        )
-        J = np.array([[fu, fm], [fum, fmm]], dtype=float)
-        try:
-            step = np.linalg.solve(J, -np.array([f, fm], dtype=float))
-        except np.linalg.LinAlgError:
-            return None
-        u += step[0]
-        m += step[1]
-        if not np.isfinite(u) or u <= 0 or u * u > 100 * max(1.0, E0):
-            return None
-        if max(abs(step[0]), abs(step[1])) < 1e-14 * max(1.0, abs(u) + abs(m)):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-    f, fm, fmm, _, _ = master_f_all(u * u, m, spec, z_mod)
-    return float(u * u), float(np.real(m)), abs(complex(f)), abs(complex(fm)), float(np.real(fmm))
+        f, fm, fmm, fu, fum = (np.real(v) for v in
+                               master_f_all(u[rows] * u[rows], m[rows], spec, z_mod))
+        J = np.array([[fu, fm], [fum, fmm]]).transpose(2, 0, 1)
+        rhs = -np.array([f, fm]).T[..., None]
+        try:
+            step = np.linalg.solve(J, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.full((rows.size, 2), np.nan)     # a nan step fails its row
+            for r in range(rows.size):
+                try:
+                    step[r] = np.linalg.solve(J[r], rhs[r])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        u[rows] += step[:, 0]
+        m[rows] += step[:, 1]
+        ur = u[rows]
+        out = ~np.isfinite(ur) | (ur <= 0) | (ur * ur > cap[rows])
+        done = (np.maximum(np.abs(step[:, 0]), np.abs(step[:, 1]))
+                < 1e-14 * np.maximum(1.0, np.abs(ur) + np.abs(m[rows])))
+        failed[rows[out]] = True
+        active[rows[out | done]] = False
+    ok = np.flatnonzero(~failed)
+    f, fm, fmm, _, _ = master_f_all(u[ok] * u[ok], m[ok], spec, z_mod)
+    got: list = [None] * u.size
+    for j, k in enumerate(ok):
+        got[k] = (float(u[k] * u[k]), float(m[k]), abs(complex(f[j])), abs(complex(fm[j])),
+                  float(np.real(fmm[j])))
+    return got
 
 
 def find_edges(
@@ -300,11 +324,13 @@ def find_edges(
     [GRID_LO, 4 (s_1 + |z|^2 + 1)]. Each sign change brackets one edge; the
     two-variable Newton iteration on (f, df/dm) = 0 starts at the bracket's
     inside end, with m the real part of the admissible root the scan solved
-    there. The edge must land inside its bracket, and one batched support
-    test must put e (1 -/+ EDGE_PROBE) inside and e (1 +/- EDGE_PROBE)
-    outside the support. Any failure rescans once at 4x resolution; a second
-    failure raises BracketingError naming both scan sizes. An edge
-    is `refined` when it also meets |f| <= EDGE_F_TOL, |df/dm| <= EDGE_DF_TOL.
+    there. All of a scan's edges iterate in one batch (_refine_edges_newton),
+    with the bits of one-edge runs. Each edge must land inside its bracket,
+    and one batched support test must put e (1 -/+ EDGE_PROBE) inside and
+    e (1 +/- EDGE_PROBE) outside the support. Any failure rescans once at 4x
+    resolution; a second failure raises BracketingError naming both scan
+    sizes. An edge is `refined` when it also meets |f| <= EDGE_F_TOL,
+    |df/dm| <= EDGE_DF_TOL.
     params.check_z rejects |z| in the excluded band around the unit circle.
     """
     params.check_z(z_mod)
@@ -337,11 +363,11 @@ def _find_edges_once(
 
     # one edge per sign change of the scan, ascending; Newton starts at the
     # bracket's inside end from the root the scan solved there
+    cross = np.nonzero(np.diff(inside.astype(int)))[0]
+    start = np.where(inside[cross], cross, cross + 1)
     edges_asc = []
-    for k in np.nonzero(np.diff(inside.astype(int)))[0]:
+    for k, got in zip(cross, _refine_edges_newton(grid[start], m_scan[start].real, spec, z_mod)):
         side = "upper" if inside[k] else "lower"
-        start = k if inside[k] else k + 1
-        got = _refine_edge_newton(grid[start], float(m_scan[start].real), spec, z_mod)
         if got is None or not grid[k] <= got[0] <= grid[k + 1]:
             raise BracketingError(f"edge Newton left its bracket [{grid[k]:g}, {grid[k + 1]:g}]")
         edges_asc.append((side, *got))

@@ -323,6 +323,45 @@ def test_usage_errors(tmp_path, fig2_file, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("N = 4\nM = 4\nd = [1, oops]\n")
     assert main(["density", "--sigma", str(bad), "--out", str(tmp_path / "x")]) == 2
+    # a size below 1 is named by its flag, not by the multiplicities it would give
+    for argv in (["quantiles", "--N", "0"], ["quantiles", "--M", "-3"],
+                 ["simulate", "--runs", "1", "--N", "0"]):
+        capsys.readouterr()
+        assert main([*argv, "--sigma", str(fig2_file), "--out", str(tmp_path / "n")]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: expected an integer >= 1" in err, err
+        assert "multiplicities" not in err
+    assert not (tmp_path / "n").exists()
+
+
+def test_parser_is_built_once_per_process(tmp_path, fig2_file):
+    # a fresh process: importing the CLI builds no parser, and main builds it
+    # on its first call only
+    src = str(Path(txlaw.__file__).resolve().parent.parent)
+    code = (
+        "from txlaw import cli\n"
+        "print(cli.build_parser.cache_info().misses)\n"
+        "codes = [cli.main(['bogus']),\n"
+        f"         cli.main(['edges', '--sigma', {str(fig2_file)!r}, '--z', '1.5',\n"
+        f"                   '--grid', '200', '--out', {str(tmp_path / 'e')!r}]),\n"
+        "         cli.main(['density', '--grid', '0'])]\n"
+        "print(codes, cli.build_parser.cache_info().misses)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "[2, 0, 2] 1"]
+
+
+def test_reused_parser_leaks_no_values(tmp_path, fig2_file):
+    # values set by one call, or by a call that fails to parse, reach no later call
+    sigma = ["--sigma", str(fig2_file)]
+    out = tmp_path / "d"
+    assert main(["density", *sigma, "--z", "1.5", "--grid", "200", "--out", str(out)]) == 0
+    assert main(["density", *sigma, "--z", "0.3", "--grid", "0", "--out", str(out)]) == 2
+    assert main(["density", *sigma, "--z", "0.5", "--out", str(out)]) == 0
+    options = json.loads((out / "manifest.json").read_text())["options"]
+    assert (options["grid"], options["z"]) == (2000, 0.5)
 
 
 def test_console_entry_point(tmp_path, fig2_file):

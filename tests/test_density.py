@@ -2,6 +2,7 @@
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,3 +286,34 @@ def test_csv_emitters(tmp_path, identity_spec, identity_radial_profile):
     body = s.read_text().splitlines()
     assert body[0] == "j,gamma_j"
     assert body[1].startswith("1,")
+
+
+# values whose .17g text is easy to get wrong: specials, signed zero, the
+# smallest subnormal, 17-digit mantissas and integers at the float64 limit
+_CSV_VALUES = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-300, 1e16,
+               float(2**53), 0.1, 1 / 3, -2.5, 1.0]
+
+
+def _reference_csv(header, rows):
+    return "".join(line + "\r\n" for line in
+                   [header, *(",".join(format(v, ".17g") for v in row) for row in rows)]
+                   ).encode()
+
+
+def test_csv_emitters_byte_exact(tmp_path):
+    v = _CSV_VALUES
+    n = len(v)
+    # density rows come out in ascending x; x holds no nan, so the order is defined
+    x = [v[(5 * i + 1) % n] for i in range(n)]
+    x = [-7.0 if xi != xi else xi for xi in x]
+    txlaw.write_density_csv(SimpleNamespace(x=np.array(x), rho2=np.array(v)),
+                            tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == _reference_csv(
+        "x,rho2c", sorted(zip(x, v), key=lambda row: row[0]))
+    cols = [[v[(i + k) % n] for i in range(n)] for k in range(4)]
+    r, U, chi, F = map(np.array, cols)
+    txlaw.write_radial_csv(SimpleNamespace(r=r, U=U, chi=chi, F=F), tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_bytes() == _reference_csv("r,U,chi,F", zip(*cols))
+    txlaw.write_quantiles_csv(SimpleNamespace(gamma=np.array(v)), tmp_path / "q.csv")
+    assert (tmp_path / "q.csv").read_bytes() == _reference_csv(
+        "j,gamma_j", zip(range(1, n + 1), v))

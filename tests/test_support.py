@@ -177,17 +177,69 @@ def _bracket_midpoint(calls, E0):
 def test_edge_newton_failure_rescans_then_raises(fig2_spec, monkeypatch, fault):
     calls = _count_master_solves(monkeypatch)
 
-    def broken(E0, m0, spec, z_mod):
+    def broken_edge(E0, m0):
         e = {"none": None, "outside": 0.5 * E0,
              "midpoint": _bracket_midpoint(calls, E0)}[fault]
         return None if e is None else (e, m0, 0.0, 0.0, 1.0)
 
-    monkeypatch.setattr(support, "_refine_edge_newton", broken)
+    def broken(E0, m0, spec, z_mod):
+        return [broken_edge(e, m) for e, m in zip(E0, m0)]
+
+    monkeypatch.setattr(support, "_refine_edges_newton", broken)
     with pytest.raises(txlaw.BracketingError):
         txlaw.find_edges(fig2_spec, 1.5)
     # the probe batch (two points per edge of fig2) is what catches the midpoint
     scans = [2000, 4, 8000, 4] if fault == "midpoint" else [2000, 8000]
     assert [w.size for w, _ in calls] == scans
+
+
+def _edge_newton_starts(monkeypatch, specs, z):
+    """The (E0, m0, spec) batches that find_edges hands to the edge Newton."""
+    starts = []
+    real = support._refine_edges_newton
+
+    def recording(E0, m0, spec, z_mod):
+        starts.append((E0, m0, spec))
+        return real(E0, m0, spec, z_mod)
+
+    monkeypatch.setattr(support, "_refine_edges_newton", recording)
+    for spec in specs:
+        txlaw.find_edges(spec, z)
+    monkeypatch.setattr(support, "_refine_edges_newton", real)
+    return starts
+
+
+@pytest.mark.parametrize("z", [0.5, 1.2, 1.5])
+def test_batched_edge_newton_equals_one_edge_calls(fig2_spec, twoband_spec, many_spec,
+                                                   monkeypatch, z):
+    starts = _edge_newton_starts(monkeypatch, (fig2_spec, twoband_spec, many_spec), z)
+    assert max(E0.size for E0, _, _ in starts) >= 3       # some scan batches several edges
+    for E0, m0, spec in starts:
+        batch = support._refine_edges_newton(E0, m0, spec, z)
+        one = [support._refine_edges_newton(E0[k:k + 1], m0[k:k + 1], spec, z)[0]
+               for k in range(E0.size)]
+        assert None not in batch
+        assert repr(batch) == repr(one)                   # bit for bit
+
+
+def test_singular_jacobian_fails_only_its_edge(many_spec, monkeypatch):
+    # a marked start gets df/dm = d2f/dm2 = 0, so its Jacobian is singular and
+    # the stacked solve raises: that edge alone gives None
+    (E0, m0, _), = _edge_newton_starts(monkeypatch, (many_spec,), 1.5)
+    expect = support._refine_edges_newton(E0, m0, many_spec, 1.5)
+    marker = 12345.0
+    real = support.master_f_all
+
+    def singular_at_marker(w, m, spec, z_mod):
+        f, fm, fmm, fu, fum = (np.array(v) for v in real(w, m, spec, z_mod))
+        hit = np.asarray(m) == marker
+        fm[hit] = fmm[hit] = 0.0
+        return f, fm, fmm, fu, fum
+
+    monkeypatch.setattr(support, "master_f_all", singular_at_marker)
+    got = support._refine_edges_newton(np.r_[E0[0], E0], np.r_[marker, m0], many_spec, 1.5)
+    assert got[0] is None
+    assert repr(got[1:]) == repr(expect)
 
 
 @pytest.mark.parametrize("z", [0.5, 1.2, 1.5])
