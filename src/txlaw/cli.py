@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -145,14 +144,14 @@ def cmd_density(args, outdir: Path, manifest: dict) -> int:
     profile = find_edges(spec, args.z, _params(args), args.grid)
     table = tabulate_density(spec, args.z, resolution=args.grid, profile=profile)
     write_density_csv(table, outdir / "density.csv")
-    (outdir / "bands.json").write_text(json.dumps(asdict(profile), indent=2))
+    (outdir / "bands.json").write_text(json.dumps(profile.as_dict(), indent=2))
     manifest["total_mass"] = table.total_mass
     return EXIT_OK
 
 
 def cmd_edges(args, outdir: Path, manifest: dict) -> int:
     profile = find_edges(load_sigma_file(args.sigma), args.z, _params(args), args.grid)
-    (outdir / "edges.json").write_text(json.dumps(asdict(profile), indent=2))
+    (outdir / "edges.json").write_text(json.dumps(profile.as_dict(), indent=2))
     return EXIT_OK
 
 

@@ -254,7 +254,7 @@ def tabulate_density(
         th = (0.5 * (t0 + t1))[:, None] + scale[:, None] * _GL_XI
         lo, hi = lo_b[b, None], hi_b[b, None]
         x = np.maximum(_x_of_theta(lo, hi, th), 1e-300)
-        rho1, rho2 = density_batch(x, spec, z_mod)
+        rho1, rho2 = density_batch(x, spec, z_mod, profile.scan_roots)
         jac = 0.5 * (hi - lo) * np.sin(th)
         vals = rho2 * jac
         # one matrix-vector product per segment: a batched product would

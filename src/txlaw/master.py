@@ -20,8 +20,9 @@ exactly inside the support. There everything is real, and the densities
 are solved directly.
 
 Along a batch of real w > 0 the arrowhead runs only at anchors, every
-ANCHOR_STRIDE-th point in x order. Every other point has one of three
-outcomes, decided from its nearest anchor:
+ANCHOR_STRIDE-th point in x order, or at none where the caller hands in the
+roots a support scan certified (the density tables do). Every other point
+has one of three outcomes, decided from its nearest anchor:
 
 - certified Newton, where the anchor is inside the support: Newton steps on
   f from the anchor's root, kept if admissible, within RESIDUAL_TOL, with
@@ -401,12 +402,20 @@ def _certified_outside(x, u, k, W, spec: SigmaSpectrum, z_mod: float):
     return ok & (odd.sum(axis=1) - odd[rows, k] + changes >= pi.shape[1] + 1)
 
 
-def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float):
-    """(m, |f|, n_candidates) at real x > 0: the arrowhead at every
-    ANCHOR_STRIDE-th point in x order and the last (the anchors); elsewhere
-    certified Newton from the nearest anchor's admissible root, or, where
-    that anchor has none, a certificate that the point has none either; and
-    the arrowhead again at every point that neither certifies.
+def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float, anchors=None):
+    """(m, |f|, n_candidates) at real x > 0 from anchors: certified Newton
+    from the nearest anchor's admissible root, or, where that anchor has
+    none, a certificate that the point has none either; and the arrowhead
+    at every point that neither certifies.
+
+    The anchors come from one of two sources. anchors = (xa, ma), ascending
+    xa > 0 with the admissible root ma of each, as a support scan solved
+    them, needs no eigensolve; the batch then has no anchor of its own, and
+    each point's result depends on the anchors alone, not on the rest of the
+    batch. Without them the arrowhead solves every ANCHOR_STRIDE-th point in
+    x order and the last. A wrong anchor root costs a Newton run and an
+    arrowhead solve, never a wrong answer: every root returned is certified
+    or eigensolved.
 
     The outside certificate counts real roots of f = m - alpha +
     sum_k rho_k / (m - pi_k), whose numerator has degree d + 1 for d poles.
@@ -423,62 +432,83 @@ def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float):
     intervals come to d + 1 (_certified_outside). It then keeps m = nan,
     |f| = inf and no candidates, as the arrowhead would give it. A point
     that fails is left to the arrowhead: a failed certificate costs time,
-    never a wrong answer.
+    never a wrong answer. Only eigensolved anchors outside the support have
+    witnesses; supplied anchors are all inside.
     """
-    order = np.argsort(x, kind="stable")
-    ak = order[np.unique(np.r_[0:x.size:ANCHOR_STRIDE, x.size - 1])]   # ascending in x
-    anchor = np.zeros(x.shape, dtype=bool)
-    anchor[ak] = True
     m = np.full(x.shape, np.nan + 0j)
     resid = np.full(x.shape, np.inf)
     ncand = np.zeros(x.shape, dtype=int)
-    m[ak], resid[ak], ncand[ak], roots = _solve_arrowhead(x[ak], u[ak], spec, z_mod)
+    rest = np.ones(x.shape, dtype=bool)
+    if anchors is None:
+        order = np.argsort(x, kind="stable")
+        ak = order[np.unique(np.r_[0:x.size:ANCHOR_STRIDE, x.size - 1])]   # ascending in x
+        m[ak], resid[ak], ncand[ak], roots = _solve_arrowhead(x[ak], u[ak], spec, z_mod)
+        rest[ak] = False
+        xa, ma, ua, inside = x[ak], m[ak], u[ak], ncand[ak] > 0
+    else:
+        xa, ma = anchors
+        inside = np.ones(xa.shape, dtype=bool)
 
     # the nearest anchor in x: Newton from its root where it is inside the
     # support, the certificate from its witnesses where it is outside
-    j = np.clip(np.searchsorted(x[ak], x), 1, ak.size - 1)
-    j = np.where(x - x[ak[j - 1]] <= x[ak[j]] - x, j - 1, j)
-    near = ak[j]
-    rest = ~anchor
-    seeded = np.nonzero(rest & (ncand[near] > 0))[0]
-    try:
-        mn, rn, ok = _newton_certified(x[seeded], m[near[seeded]], spec, z_mod)
-    except SolverError:        # an iterate hit a pole of f: leave it to the arrowhead
-        ok = np.zeros(seeded.shape, dtype=bool)
-    done = seeded[ok]
-    m[done], resid[done], ncand[done] = mn[ok], rn[ok], 1
-    rest[done] = False
-    wk, W = _witnesses(u[ak], roots, spec, z_mod)
-    cand = np.nonzero(rest & (wk[j] >= 0))[0]
-    try:
-        out = _certified_outside(x[cand], u[cand], wk[j[cand]], W[j[cand]], spec, z_mod)
-        rest[cand[out]] = False
-    except SolverError:        # a witness is on a pole of f
-        pass
-    m[rest], resid[rest], ncand[rest] = _solve_arrowhead(x[rest], u[rest], spec, z_mod)[:3]
+    j = np.searchsorted(xa, x)
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j, xa.size - 1)
+    j = np.where(x - xa[lo] <= xa[hi] - x, lo, hi)
+    seeded = np.nonzero(rest & inside[j])[0]
+    if seeded.size:
+        try:
+            mn, rn, ok = _newton_certified(x[seeded], ma[j[seeded]], spec, z_mod)
+        except SolverError:    # an iterate hit a pole of f: leave it to the arrowhead
+            ok = np.zeros(seeded.shape, dtype=bool)
+        done = seeded[ok]
+        m[done], resid[done], ncand[done] = mn[ok], rn[ok], 1
+        rest[done] = False
+    cand = np.nonzero(rest & ~inside[j])[0]
+    if cand.size:
+        wk = np.full(xa.shape, -1)
+        W = np.zeros(xa.shape + (2,))
+        wk[~inside], W[~inside] = _witnesses(ua[~inside], roots[~inside], spec, z_mod)
+        cand = cand[wk[j[cand]] >= 0]
+    if cand.size:
+        try:
+            certified = _certified_outside(x[cand], u[cand], wk[j[cand]], W[j[cand]],
+                                           spec, z_mod)
+            rest[cand[certified]] = False
+        except SolverError:    # a witness is on a pole of f
+            pass
+    if rest.any():
+        m[rest], resid[rest], ncand[rest] = _solve_arrowhead(x[rest], u[rest], spec, z_mod)[:3]
     return m, resid, ncand
 
 
-def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float):
+def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float, anchors=None):
     """Vectorized master-equation solve for an array of w in the upper half-plane.
 
     Returns (m, m1, m2, residual, n_candidates). Entries with no admissible
     root get m = nan and n_candidates = 0 (at real w: outside the support).
     Raises SolverError when a returned root misses RESIDUAL_TOL.
 
-    Complex w, and batches of real w > 0 under 2 ANCHOR_STRIDE points, take
-    one arrowhead eigensolve per point. A larger batch of real w > 0 takes
-    it at its anchors only: every ANCHOR_STRIDE-th point in x order and the
-    last. Every other point looks at its nearest anchor. If the anchor has
-    an admissible root, the point runs Newton on f from it and keeps the
-    result only if it is certified (see _newton_certified). If it has none,
-    the point is certified outside the support when a sign count finds all
-    d + 1 roots of f real, at the anchor's witnesses (see _solve_anchored).
-    The rest go to the arrowhead. At real x the admissible root is unique,
-    so a certified root is the one the arrowhead would pick, and a point
-    certified outside has none, as the arrowhead would find. The last bits
-    of a real-w root can therefore depend on the rest of its batch; the same
-    batch gives the same bits on every run.
+    A batch of real w > 0 is solved from anchors (_solve_anchored). anchors
+    = (xa, ma) are roots the caller already holds: ascending real xa > 0
+    inside the support, each with its admissible root ma, as a support scan
+    certified them. They take no eigensolve, and each point's root then
+    depends on them alone, not on the rest of its batch. Without them, a
+    batch of at least 2 ANCHOR_STRIDE points eigensolves its own anchors:
+    every ANCHOR_STRIDE-th point in x order and the last. Every other point
+    looks at its nearest anchor. If the anchor has an admissible root, the
+    point runs Newton on f from it and keeps the result only if it is
+    certified (see _newton_certified). If it has none, the point is
+    certified outside the support when a sign count finds all d + 1 roots
+    of f real, at the anchor's witnesses. The rest go to the arrowhead. At
+    real x the admissible root is unique, so a certified root is the one the
+    arrowhead would pick, and a point certified outside has none, as the
+    arrowhead would find. The last bits of a real-w root can therefore
+    depend on its anchors, and with eigensolved anchors on the rest of its
+    batch; the same call gives the same bits on every run.
+
+    Complex w, and real batches under 2 ANCHOR_STRIDE points without
+    anchors, take one arrowhead eigensolve per point; complex w ignore
+    anchors.
     """
     w = np.asarray(w, dtype=complex)
     shape = w.shape
@@ -487,8 +517,8 @@ def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float):
     if np.any(u == 0):
         raise DomainError("the master equation needs w != 0")
     real = bool(np.all(u.imag == 0))
-    if real and wf.size >= 2 * ANCHOR_STRIDE:
-        m, resid, ncand = _solve_anchored(wf.real, u.real, spec, z_mod)
+    if real and (anchors is not None or wf.size >= 2 * ANCHOR_STRIDE):
+        m, resid, ncand = _solve_anchored(wf.real, u.real, spec, z_mod, anchors)
     else:
         m, resid, ncand = _solve_arrowhead(wf, u.real if real else u, spec, z_mod)[:3]
     ok = ncand > 0
@@ -571,17 +601,19 @@ def cubic_factorize(w: float, spec: SigmaSpectrum, z_mod: float) -> CubicFactori
 # densities on the real axis
 # ---------------------------------------------------------------------------
 
-def density_batch(x, spec: SigmaSpectrum, z_mod: float):
+def density_batch(x, spec: SigmaSpectrum, z_mod: float, anchors=None):
     """(rho1, rho2) at positive x, solved at w = x on the real axis.
 
     Inside the support the real arrowhead has one conjugate pair of roots;
     its admissible member gives rho = Im m / pi. Outside the support no root
-    is admissible and rho = 0.
+    is admissible and rho = 0. anchors = (xa, ma), the roots a support scan
+    certified inside the support, seed the solve with no eigensolve of its
+    own (see solve_master_batch).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise DomainError("density_batch needs x > 0")
-    _, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod)
+    _, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod, anchors)
     ok = ncand > 0
     rho1, rho2 = np.zeros(x.shape), np.zeros(x.shape)
     rho1[ok] = m1[ok].imag / np.pi

@@ -15,7 +15,7 @@ x^(-1/2) with a computable scale t.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -194,12 +194,30 @@ class ZeroEdgeInfo:
 
 @dataclass(frozen=True)
 class SupportProfile:
+    """Bands and edges of the support at one |z|.
+
+    scan_roots = (x, m) holds the scan points inside the support, ascending,
+    with the admissible root the scan certified at each. Tables seed their
+    solves from them (density_batch). They are not part of the profile's
+    value: repr, equality and as_dict leave them out; None where no scan
+    made the profile.
+    """
+
     z_mod: float
     bands: tuple[tuple[float, float], ...]     # descending [e_lo, e_hi]
     edges: tuple[EdgeInfo, ...]
     zero_edge: ZeroEdgeInfo | None
     scan_points: int
     scan_max: float
+    scan_roots: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+
+    def as_dict(self) -> dict:
+        """The profile as edges.json and bands.json hold it: every field but
+        scan_roots, nested dataclasses as dicts."""
+        d = asdict(replace(self, scan_roots=None))
+        del d["scan_roots"]
+        return d
 
     @property
     def bands_ascending(self) -> tuple[tuple[float, float], ...]:
@@ -416,6 +434,7 @@ def _find_edges_once(
         zero_edge=zero_edge,
         scan_points=scan_points,
         scan_max=scan_max,
+        scan_roots=(grid[inside], m_scan[inside]),
     )
 
 

@@ -56,7 +56,25 @@ def test_byte_identical_reruns(tmp_path, fig2_file):
              "--out", str(out)]
         )
         assert rc == 0
-    assert (out1 / "density.csv").read_bytes() == (out2 / "density.csv").read_bytes()
+    for name in ("density.csv", "bands.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_profile_json_keeps_its_keys(tmp_path, fig2_file):
+    # the scan roots a profile carries for the tables stay out of
+    # edges.json and bands.json, which hold the same profile
+    for command, name in (("edges", "edges.json"), ("density", "bands.json")):
+        rc = main([command, "--sigma", str(fig2_file), "--z", "0.5", "--out",
+                   str(tmp_path / command)])
+        assert rc == 0
+        data = json.loads((tmp_path / command / name).read_text())
+        assert list(data) == ["z_mod", "bands", "edges", "zero_edge", "scan_points",
+                              "scan_max"]
+        assert all(list(e) == ["e", "m_c", "d2f", "pole_distance", "neighbor_gap", "side",
+                               "refined"] for e in data["edges"])
+        assert list(data["zero_edge"]) == ["t", "rho1_amplitude", "rho2_amplitude"]
+    assert ((tmp_path / "edges" / "edges.json").read_bytes()
+            == (tmp_path / "density" / "bands.json").read_bytes())
 
 
 def test_edges_command_and_domain_error(tmp_path, fig2_file):

@@ -1,6 +1,7 @@
 """Master-equation solver: evaluators, factorization, root selection, densities."""
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -555,20 +556,43 @@ def test_near_real_newton_root_falls_back(fig2_spec):
     assert np.all(mn[fooled].imag < 1e-15)
 
 
+def _check_against_mpmath(x, m, base, spec, z, x_eps=0):
+    """The 20 of the roots m at x that moved most, relative, from base are
+    within 1e-12 relative of 50-digit mpmath roots, plus the move of the
+    root when x moves by x_eps eps x: near an edge, where dm/dx grows like
+    1 / sqrt(e - x), that is the error of any backward-stable solve."""
+    inside = np.nonzero(np.isfinite(base))[0]
+    moved = inside[np.argsort(-np.abs(m[inside] - base[inside]) / np.abs(base[inside]))[:20]]
+    _, fm, _, fu, _ = txlaw.master_f_all(x[moved], m[moved], spec, z)
+    # dm/dx = -(f_u / f_m) / (2 sqrt(x)) on f(sqrt(x), m) = 0
+    shift = x_eps * np.finfo(float).eps * np.sqrt(x[moved]) * np.abs(fu / fm) / 2
+    for k, tol in zip(moved, shift):
+        want = complex(_mp_root(x[k], m[k], spec, z, dps=50))
+        assert abs(m[k] - want) <= 1e-12 * abs(want) + tol, (z, x[k], m[k], want)
+
+
 @pytest.mark.parametrize("name", ["fig2_spec", "many_spec"])
 def test_anchored_roots_against_mpmath(name, request):
     # the 20 density-table nodes where the anchored root moved most from the
-    # arrowhead's are within 1e-12 relative of 50-digit mpmath roots
+    # arrowhead's, and the 20 where the root seeded from the support scan
+    # moved most from the anchored one, are within 1e-12 relative of
+    # 50-digit mpmath roots. The second check also allows the root's move
+    # under a relative move of 4 eps in x: its nodes include one 2.9e-10
+    # relative below fig2's top edge at |z| = 1.5, where the seeded, the
+    # anchored and the arrowhead root are all 2.3e-12 to 2.4e-12 relative
+    # from mpmath's, the move of the root under 1 ulp of x
     spec = request.getfixturevalue(name)
     for z in (0.5, 1.5):
-        x = txlaw.tabulate_density(spec, z).x
+        profile = txlaw.find_edges(spec, z)
+        table = txlaw.tabulate_density(spec, z, profile=profile)
+        x = table.x
         m = txlaw.solve_master_batch(x, spec, z)[0]
-        m_ref, ncand = _arrowhead_only(x, spec, z)
-        inside = np.nonzero(ncand > 0)[0]
-        moved = inside[np.argsort(-np.abs(m[inside] - m_ref[inside]) / np.abs(m_ref[inside]))[:20]]
-        for k in moved:
-            want = complex(_mp_root(x[k], m[k], spec, z, dps=50))
-            assert abs(m[k] - want) <= 1e-12 * abs(want), (z, x[k], m[k], want)
+        _check_against_mpmath(x, m, _arrowhead_only(x, spec, z)[0], spec, z)
+        seeded, _, m2, _, ncand = txlaw.solve_master_batch(x, spec, z, profile.scan_roots)
+        # the table's nodes, solved in split-depth batches, have these roots:
+        # a seeded root does not depend on the rest of its batch
+        assert np.array_equal(m2.imag / np.pi, table.rho2) and np.all(ncand == 1)
+        _check_against_mpmath(x, seeded, m, spec, z, x_eps=4)
 
 
 def test_scan_eigensolves_under_300_rows(fig2_spec, many_spec, monkeypatch):
@@ -582,6 +606,27 @@ def test_scan_eigensolves_under_300_rows(fig2_spec, many_spec, monkeypatch):
             ncand = txlaw.solve_master_batch(_scan_grid(spec, z), spec, z)[4]
             assert np.sum(ncand == 0) > 1000
             assert sum(shape[0] for shape in calls) < 300, (spec.n, z)
+
+
+def test_seeded_tables_eigensolve_only_fallbacks(fig2_spec, many_spec, monkeypatch):
+    # a table seeds Newton from the roots its support scan certified: it
+    # eigensolves no anchor, only the few nodes that no seed certifies. A
+    # profile without scan roots still tabulates, through eigensolved
+    # anchors, at least one per ANCHOR_STRIDE nodes
+    calls = _counting_eigvals(monkeypatch)
+    for spec in (fig2_spec, many_spec):
+        for z in (0.5, 1.2, 1.5):
+            for grid in (2000, 200):
+                profile = txlaw.find_edges(spec, z, scan_points=grid)
+                calls.clear()
+                table = txlaw.tabulate_density(spec, z, grid, profile)
+                assert sum(shape[0] for shape in calls) <= 16, (spec.n, z, grid, calls)
+                calls.clear()
+                bare = txlaw.tabulate_density(spec, z, grid, replace(profile, scan_roots=None))
+                assert sum(shape[0] for shape in calls) >= table.x.size / ANCHOR_STRIDE
+                assert np.array_equal(bare.x, table.x)
+                assert np.allclose(bare.rho2, table.rho2, rtol=1e-7, atol=0)
+                assert abs(bare.total_mass - table.total_mass) <= 1e-12
 
 
 def _anchor_witnesses(spec, z, i):

@@ -441,3 +441,21 @@ def test_scan_metadata_in_profile(fig2_spec):
     d = asdict(prof)
     assert d["scan_points"] >= 2000 and d["scan_max"] > 10
     assert len(d["edges"]) == 2
+
+
+def test_scan_roots_are_the_scans_certified_roots(fig2_spec):
+    # the profile carries the scan's inside points, ascending, with their
+    # admissible roots; they are not part of its value
+    for z in (0.5, 1.5):
+        prof = txlaw.find_edges(fig2_spec, z)
+        x, m = prof.scan_roots
+        grid = np.exp(np.linspace(np.log(support.GRID_LO), np.log(prof.scan_max),
+                                  prof.scan_points))
+        m_scan, _, _, _, ncand = txlaw.solve_master_batch(grid, fig2_spec, z)
+        assert np.array_equal(x, grid[ncand > 0]) and np.array_equal(m, m_scan[ncand > 0])
+        assert np.all(np.diff(x) > 0) and np.all(m.imag > 0)
+        assert np.all(np.abs(txlaw.master_f(x, m, fig2_spec, z)) <= 1e-12)
+        bare = replace(prof, scan_roots=None)
+        assert prof == bare and hash(prof) == hash(bare) and repr(prof) == repr(bare)
+        assert repr(prof).endswith(f"scan_max={prof.scan_max!r})")
+        assert prof.as_dict() == {k: v for k, v in asdict(prof).items() if k != "scan_roots"}
