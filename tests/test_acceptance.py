@@ -11,7 +11,7 @@ import numpy as np
 
 import txlaw
 from txlaw import verify_suites
-from conftest import dyson_gap_edge
+from conftest import bench, bench_law
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -48,7 +48,7 @@ def test_criterion_02_circular_law_limit():
 
 
 def test_criterion_03_fig_reproduction(fig2_spec):
-    oracle = {z: dyson_gap_edge(fig2_spec, z) for z in (1.2, 1.5)}
+    oracle = {z: bench.gap_edge(bench_law(fig2_spec), z) for z in (1.2, 1.5)}
     t0 = time.perf_counter()
     failures = []
     details = []

@@ -13,6 +13,7 @@ import txlaw
 from txlaw import density
 from txlaw.errors import DomainError
 from txlaw.oracles import mp_density
+from conftest import bench, bench_law
 
 
 def mp_cdf_oracle(x):
@@ -156,6 +157,19 @@ def test_radial_law_exact_on_identity(identity_radial_profile):
     assert np.max(np.abs(prof.U[inside] - (r * r - 1.0))) <= 1e-14
     assert np.all(prof.F[~inside] == 1.0) and np.all(prof.chi[~inside] == 0.0)
     assert np.all(np.isfinite(prof.U) & np.isfinite(prof.chi) & np.isfinite(prof.F))
+
+
+@pytest.mark.parametrize("spec_name",
+                         ["identity_spec", "fig2_spec", "many_spec", "twoband_spec"])
+def test_radial_law_matches_haagerup_larsen(spec_name, request):
+    # the benchmark's oracle: brentq on the S-transform equation and
+    # Gauss-Legendre for U, against the engine's Newton and closed-form U
+    assert bench.radial_selfcheck() <= 1e-12
+    spec = request.getfixturevalue(spec_name)
+    prof = txlaw.compute_radial_profile(spec, 0.1, 2.0, h=0.01)
+    want = bench.radial_law(bench_law(spec), prof.r)
+    for key in ("U", "F", "chi"):
+        assert np.max(np.abs(getattr(prof, key) - want[key])) <= 1e-13, key
 
 
 def test_radial_profile_rejects_unnormalized_spectrum():

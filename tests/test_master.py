@@ -18,7 +18,7 @@ from txlaw.master import (ANCHOR_STRIDE, _arrowhead, _certified_outside, _cubic_
 from txlaw.sigma import MERGE_RTOL
 from txlaw.support import GRID_LO
 from txlaw.oracles import mp_density
-from conftest import dyson_transforms, mp_stieltjes
+from conftest import bench, bench_law, mp_stieltjes
 
 
 def _mp_cubic_roots(u, s, z2):
@@ -803,6 +803,31 @@ def test_tiny_z_takes_the_degenerate_poles():
         m, _, _, resid, ncand = txlaw.solve_master_batch(w, one, z)
         assert ncand[0] == 1 and resid[0] <= 1e-12
         assert abs(m[0] - want[0]) <= 1e-15
+
+
+def dyson_transforms(w, spec, z):
+    """(m1, m2) at w in the upper half-plane from the benchmark's Dyson system alone.
+
+    Newton on `bench._system` in (a, b) at sig = Re sqrt(w) + i e, continued
+    from e = max(1, Im sqrt(w)), where -1/sig starts it on the upper-half-plane
+    solution, down to e = Im sqrt(w). Then m1 = b / sqrt(w), m2 = a / sqrt(w).
+    The benchmark solves only at real sig, so this continuation is the tests'.
+    """
+    law, z2 = bench_law(spec), z * z
+    root = np.sqrt(complex(w))
+    top = max(1.0, root.imag)
+    a = b = -1 / complex(root.real, top)
+    for e in np.geomspace(top, root.imag, 60):
+        for _ in range(50):
+            r1, r2, j11, j12, j21, _, _ = bench._system(law, z2, a, b, complex(root.real, e))
+            det = j11 * j11 - j12 * j21         # the Jacobian's j22 equals j11
+            da, db = (j11 * r1 - j12 * r2) / det, (j11 * r2 - j21 * r1) / det
+            a, b = a - da, b - db
+            if max(abs(da), abs(db)) <= 1e-14 * (1 + max(abs(a), abs(b))):
+                break
+        else:
+            raise AssertionError(f"Dyson continuation stalled at Im sig = {e}")
+    return complex(b) / root, complex(a) / root
 
 
 @st.composite

@@ -10,7 +10,7 @@ import txlaw
 from txlaw import support
 from txlaw.errors import DomainError, SolverError
 from txlaw.oracles import bisect_g_oracle
-from conftest import dyson_gap_edge
+from conftest import bench, bench_law
 
 
 def mp_zero_edge_root(spec, z, dps=40):
@@ -123,17 +123,46 @@ def test_fig2_edges_all_z(fig2_spec):
 def test_fig2_lower_edge_z15(fig2_spec):
     prof = txlaw.find_edges(fig2_spec, 1.5)
     assert prof.lowest_edge >= 0.01
-    assert prof.lowest_edge == pytest.approx(dyson_gap_edge(fig2_spec, 1.5),
+    assert prof.lowest_edge == pytest.approx(bench.gap_edge(bench_law(fig2_spec), 1.5),
                                              rel=1e-8)
 
 
-def test_two_band_spectrum(twoband_spec):
-    for z in (0.5, 1.5):
-        prof = txlaw.find_edges(twoband_spec, z)
-        assert len(prof.bands) == 2
-        # bands descending and disjoint
-        (a_lo, a_hi), (b_lo, b_hi) = prof.bands
+def test_dyson_gap_edge_against_40_digit_fold(fig2_spec):
+    # sig*^2 of fig2 from a 40-digit solve of the same fold
+    for z, want in ((1.2, 0.004936008699097830548485797155),
+                    (1.5, 0.067534309701240814278859438763)):
+        assert bench.gap_edge(bench_law(fig2_spec), z) == pytest.approx(want, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("z", [
+    0.5,
+    pytest.param(1.5, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP direction 10: the default scan misses the gap "
+               "(0.97516, 0.97936) that a 32,000-point scan finds")),
+])
+def test_two_band_spectrum(twoband_spec, z):
+    prof = txlaw.find_edges(twoband_spec, z)
+    fine = txlaw.find_edges(twoband_spec, z, scan_points=32000)
+    assert len(prof.bands) == len(fine.bands) >= 2
+    # bands descending and disjoint
+    for (a_lo, _), (_, b_hi) in zip(prof.bands, prof.bands[1:]):
         assert a_lo > b_hi
+
+
+@pytest.mark.parametrize("spec_name, z", [
+    *((name, z) for name in ("fig2_spec", "many_spec") for z in (0.5, 1.2, 1.5)),
+    # not twoband at 1.5, where the oracle's fold solve raises OracleError
+    ("twoband_spec", 0.5), ("twoband_spec", 1.2),
+])
+def test_edges_match_dyson_oracle(request, spec_name, z):
+    spec = request.getfixturevalue(spec_name)
+    got = txlaw.find_edges(spec, z).bands_ascending
+    want = bench.support_bands(bench_law(spec), z)
+    assert len(got) == len(want)
+    for g, w in zip(np.ravel(got), np.ravel(want)):
+        assert (g == 0.0) == (w == 0.0)
+        assert g == pytest.approx(w, rel=1e-12, abs=0)
 
 
 def _count_master_solves(monkeypatch):
