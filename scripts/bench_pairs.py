@@ -16,6 +16,9 @@ per side. `--tier1` runs the Tier-1 suite of each tree and keeps its
 `--durations` top 15. Everything goes to `BENCH_<label>.json`: the machine,
 every result line, and per workload and end-to-end metric the medians,
 quartiles, the pairs the change won and the relative change of the median.
+Each run records the 1-minute load average of /proc/loadavg before and after
+it, and a workload's summary lists the seeds of the pairs run under load:
+with any reading above LOADED.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("setup_s", "round_s", "round_cpu_s", "peak_rss_mb")   # all lower-is-better
+# runs go back to back, so the benchmark's own process holds the 1-minute
+# load average near 1; one more busy process lifts it toward 2
+LOADED = 1.5
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -50,6 +56,11 @@ def machine() -> dict:
     return {"nproc": os.cpu_count(), "cpu": cpu, "numpy": np.__version__,
             "blas": f"{cfg.get('name')} {cfg.get('version')}",
             "blas_threads_default": fns[0]() if fns else None}
+
+
+def load1() -> float:
+    """The 1-minute load average."""
+    return float(Path("/proc/loadavg").read_text().split()[0])
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -85,7 +96,10 @@ def summarize(runs: list[dict], workload: str) -> dict:
     side = {t: {r["seed"]: r["result"] for r in plain if r["tree"] == t}
             for t in ("parent", "change")}
     seeds = sorted(side["parent"])
-    out: dict = {"seeds": seeds, "pairs": len(seeds)}
+    loads = {s: [v for r in plain if r["seed"] == s for v in r["load1"]] for s in seeds}
+    out: dict = {"seeds": seeds, "pairs": len(seeds),
+                 "pairs_under_load": [s for s in seeds if max(loads[s]) > LOADED],
+                 "load1_max": max(max(v) for v in loads.values())}
     for name in END_TO_END:
         p = [side["parent"][s]["metrics"][name]["value"] for s in seeds]
         c = [side["change"][s]["metrics"][name]["value"] for s in seeds]
@@ -124,17 +138,23 @@ def main(argv=None) -> int:
                 seed = int(first) + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for t in order:
+                    before = load1()
                     res = bench(trees[t], name, seed, args.seconds, 0)
+                    load = [before, load1()]
                     runs.append({"tree": t, "workload": name, "seed": seed, "trace": 0,
-                                 "result": res})
+                                 "load1": load, "result": res})
                     print(f"{name} seed {seed} {t}: round_s "
-                          f"{res['metrics']['round_s']['value']:.3f}", file=sys.stderr)
+                          f"{res['metrics']['round_s']['value']:.3f}, load {load[0]:.2f} "
+                          f"-> {load[1]:.2f}{' LOADED' if max(load) > LOADED else ''}",
+                          file=sys.stderr)
         out = {"label": args.label, "change": args.change, "machine": machine(),
                "method": (f"python3 txbench/run.py --workload <w> --seed <s> --seconds "
                           f"{args.seconds:g} --trace <0|1>, run from the root of each tree: "
                           f"the parent ({args.parent}, exported with git archive) and this "
                           "checkout; one run per side and seed, the side that goes first "
-                          "alternating from seed to seed, parent first on the first seed"),
+                          "alternating from seed to seed, parent first on the first seed; "
+                          f"a pair is under load when a 1-minute load average read before "
+                          f"or after one of its runs exceeds {LOADED}"),
                "claim": args.claim,
                "summary": {spec.split(":")[0]: summarize(runs, spec.split(":")[0])
                            for spec in args.workload}}

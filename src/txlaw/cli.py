@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -67,7 +68,7 @@ FLAGS = {
                                               "stieltjes", "circular-law", "esd"]),
     "--z": dict(type=_FINITE, default=0.0, help="|z| modulus"),
     "--zband": dict(type=_FINITE, default=0.05, help="excluded band half-width on |z|^2"),
-    "--grid": dict(type=_POSITIVE, default=2000, help="scan or table resolution"),
+    "--grid": dict(type=_POSITIVE, default=2000, help="density table resolution"),
     "--N": dict(type=_POSITIVE, default=None),
     "--M": dict(type=_POSITIVE, default=None),
     "--runs": dict(type=int, default=20),
@@ -141,17 +142,17 @@ def _load_spec(args):
 
 def cmd_density(args, outdir: Path, manifest: dict) -> int:
     spec = load_sigma_file(args.sigma)
-    profile = find_edges(spec, args.z, _params(args), args.grid)
+    profile = find_edges(spec, args.z, _params(args))
     table = tabulate_density(spec, args.z, resolution=args.grid, profile=profile)
     write_density_csv(table, outdir / "density.csv")
-    (outdir / "bands.json").write_text(json.dumps(profile.as_dict(), indent=2))
+    (outdir / "bands.json").write_text(json.dumps(asdict(profile), indent=2))
     manifest["total_mass"] = table.total_mass
     return EXIT_OK
 
 
 def cmd_edges(args, outdir: Path, manifest: dict) -> int:
-    profile = find_edges(load_sigma_file(args.sigma), args.z, _params(args), args.grid)
-    (outdir / "edges.json").write_text(json.dumps(profile.as_dict(), indent=2))
+    profile = find_edges(load_sigma_file(args.sigma), args.z, _params(args))
+    (outdir / "edges.json").write_text(json.dumps(asdict(profile), indent=2))
     return EXIT_OK
 
 
@@ -165,7 +166,7 @@ def cmd_chi(args, outdir: Path, manifest: dict) -> int:
 
 def cmd_quantiles(args, outdir: Path, manifest: dict) -> int:
     spec = _load_spec(args)
-    profile = find_edges(spec, args.z, _params(args), args.grid)
+    profile = find_edges(spec, args.z, _params(args))
     table = tabulate_density(spec, args.z, resolution=args.grid, profile=profile)
     qt = quantiles(table, spec.K)
     write_quantiles_csv(qt, outdir / "quantiles.csv")

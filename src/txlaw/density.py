@@ -21,7 +21,8 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .errors import DomainError, SolverError, TableTooCoarseError
-from .master import density_batch
+from .linalg import one_blas_thread
+from .master import density_batch, master_f_all
 from .sigma import ModelParams, SigmaSpectrum
 from .support import SupportProfile, find_edges
 
@@ -221,6 +222,40 @@ class DensityTable:
         return float(out[0]) if np.ndim(target) == 0 else out
 
 
+def _fold_seeds(x: np.ndarray, b: np.ndarray, profile: SupportProfile,
+                spec: SigmaSpectrum, z_mod: float) -> np.ndarray:
+    """Starting roots at the nodes x of the ascending bands b, from the
+    folds of f at the band edges.
+
+    At an edge (e, m_c), f = f_m = 0, so f(u, m) = 0 expands to
+    f_u (u - sqrt(e)) + f_mm (m - m_c)^2 / 2 = 0 and
+    m ~ m_c + sqrt(-2 f_u (sqrt(x) - sqrt(e)) / f_mm), the root with
+    Im m >= 0. A band's seed blends the expansions at its two ends linearly
+    in t = (x - lo) / (hi - lo). At the zero edge the end is the root
+    i sqrt(t0) of f at u = 0, t0 = zero_edge.t. One master_f_all call
+    takes f_u and f_mm at every edge.
+    """
+    edges = sorted(profile.edges, key=lambda ed: ed.e)
+    e = np.array([ed.e for ed in edges])
+    m_c = np.array([ed.m_c for ed in edges])
+    _, _, fmm, fu, _ = master_f_all(e, m_c, spec, z_mod)
+    coef = -2 * np.real(fu) / np.real(fmm)
+
+    def expansion(k):
+        return m_c[k] + np.sqrt((coef[k] * (np.sqrt(x) - np.sqrt(e[k]))).astype(complex))
+
+    bands = np.array(profile.bands_ascending)
+    lo, hi = bands[b, 0], bands[b, 1]
+    k_hi = np.searchsorted(e, hi)
+    zero = lo == 0.0
+    k_lo = np.where(zero, 0, np.searchsorted(e, lo))
+    t0 = profile.zero_edge.t if profile.zero_edge is not None else 0.0
+    at_lo = np.where(zero, 1j * np.sqrt(t0), expansion(k_lo))
+    t = (x - lo) / (hi - lo)
+    return (1 - t) * at_lo + t * expansion(k_hi)
+
+
+@one_blas_thread
 def tabulate_density(
     spec: SigmaSpectrum,
     z_mod: float,
@@ -232,8 +267,10 @@ def tabulate_density(
     Nodes are distributed across bands proportionally to band width; a band
     touching zero gets the geometrically graded segment layout. Each split
     depth solves the pending segments of all bands in one density_batch
-    call. Raises TableTooCoarseError when the rho2 mass misses 1 by more
-    than 1e-3 (a missed band; rescan with finer support options).
+    call, seeded from the band edges (_fold_seeds). Raises
+    TableTooCoarseError when a node inside a band has no admissible root (a
+    gap that the edges missed), or when the rho2 mass misses 1 by more than
+    1e-3 (a missed band).
     """
     if profile is None:
         profile = find_edges(spec, z_mod)
@@ -254,7 +291,14 @@ def tabulate_density(
         th = (0.5 * (t0 + t1))[:, None] + scale[:, None] * _GL_XI
         lo, hi = lo_b[b, None], hi_b[b, None]
         x = np.maximum(_x_of_theta(lo, hi, th), 1e-300)
-        rho1, rho2 = density_batch(x, spec, z_mod, profile.scan_roots)
+        seeds = _fold_seeds(x, np.broadcast_to(b[:, None], x.shape), profile, spec, z_mod)
+        rho1, rho2 = density_batch(x, spec, z_mod, seeds)
+        if np.any(rho2 == 0):
+            k = np.unravel_index(np.argmax(rho2 == 0), x.shape)
+            raise TableTooCoarseError(
+                f"no admissible root at x = {x[k]!r} inside the band [{lo[k[0], 0]!r}, "
+                f"{hi[k[0], 0]!r}]: the support has a gap that its edges miss"
+            )
         jac = 0.5 * (hi - lo) * np.sin(th)
         vals = rho2 * jac
         # one matrix-vector product per segment: a batched product would

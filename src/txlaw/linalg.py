@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -120,6 +121,23 @@ def arrowhead_eigvals(alpha: np.ndarray, rho: np.ndarray, poles: np.ndarray) -> 
     return np.linalg.eigvals(A).astype(complex, copy=False)
 
 
+def symmetric_arrowhead_eigvals(alpha: np.ndarray, beta: np.ndarray,
+                                poles: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric arrowheads [[alpha, beta^T],
+    [beta, diag(poles)]], over any leading axes: alpha (...,), beta and poles
+    (..., d). They are the roots of the secular equation
+    m - alpha - sum_k beta_k^2 / (m - poles_k) = 0. Returns (..., d + 1).
+    """
+    poles = np.asarray(poles, dtype=float)
+    d = poles.shape[-1]
+    H = np.zeros(poles.shape[:-1] + (d + 1, d + 1))
+    H[..., 0, 0] = alpha
+    H[..., 0, 1:] = H[..., 1:, 0] = beta
+    k = np.arange(1, d + 1)
+    H[..., k, k] = poles
+    return np.linalg.eigvalsh(H)
+
+
 def arrowhead_derivative_eigvals(rho: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Row-wise roots of 1 - sum_k rho_k / (m - poles_k)^2, the m-derivative
     of the function whose roots arrowhead_eigvals returns.
@@ -156,25 +174,49 @@ def _blas_thread_fns():
     return get, set_
 
 
+_BLAS_LOCK = threading.Lock()
+_BLAS_OPEN: list[list[int]] = []      # [n] of each open blas_threads block, oldest first
+_BLAS_SAVED = [0]                     # the count before the oldest open block
+
+
 @contextmanager
 def blas_threads(n: int):
     """Run the block with OpenBLAS on n threads; restore the caller's count after.
 
     The count is global to the process (OpenBLAS's thread-local setter is not
-    thread-local in numpy's build), so set it once around a whole thread pool.
-    Without numpy's OpenBLAS this does nothing.
+    thread-local in numpy's build). Blocks may nest and may be open on
+    several threads at once: a block that closes sets the count of the
+    newest block still open, and the last one restores the count from
+    before the first. Without numpy's OpenBLAS this does nothing.
     """
     fns = _blas_thread_fns()
     if not fns:
         yield
         return
     get, set_ = fns
-    before = get()
-    set_(n)
+    entry = [n]
+    with _BLAS_LOCK:
+        if not _BLAS_OPEN:
+            _BLAS_SAVED[0] = get()
+        _BLAS_OPEN.append(entry)
+        set_(n)
     try:
         yield
     finally:
-        set_(before)
+        with _BLAS_LOCK:
+            del _BLAS_OPEN[next(i for i, e in enumerate(_BLAS_OPEN) if e is entry)]
+            set_(_BLAS_OPEN[-1][0] if _BLAS_OPEN else _BLAS_SAVED[0])
+
+
+def one_blas_thread(fn):
+    """fn run under blas_threads(1): the law's entry points solve many small
+    eigenproblems, which OpenBLAS runs slower on more threads, and much
+    slower when another process holds a core."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with blas_threads(1):
+            return fn(*args, **kwargs)
+    return run
 
 
 def qr_haar(n: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:

@@ -20,9 +20,10 @@ exactly inside the support. There everything is real, and the densities
 are solved directly.
 
 Along a batch of real w > 0 the arrowhead runs only at anchors, every
-ANCHOR_STRIDE-th point in x order, or at none where the caller hands in the
-roots a support scan certified (the density tables do). Every other point
-has one of three outcomes, decided from its nearest anchor:
+ANCHOR_STRIDE-th point in x order, or at none where the caller hands in a
+starting root per point (the density tables seed them from the support
+edges). Every other point has one of three outcomes, decided from its
+start or its nearest anchor:
 
 - certified Newton, where the anchor is inside the support: Newton steps on
   f from the anchor's root, kept if admissible, within RESIDUAL_TOL, with
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError, TableTooCoarseError
-from .linalg import arrowhead_eigvals
+from .linalg import arrowhead_eigvals, one_blas_thread
 from .sigma import SigmaSpectrum
 
 UNIQUE_ETA = 1e-6     # above this Im w the admissible root must be unique
@@ -402,20 +403,27 @@ def _certified_outside(x, u, k, W, spec: SigmaSpectrum, z_mod: float):
     return ok & (odd.sum(axis=1) - odd[rows, k] + changes >= pi.shape[1] + 1)
 
 
-def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float, anchors=None):
-    """(m, |f|, n_candidates) at real x > 0 from anchors: certified Newton
-    from the nearest anchor's admissible root, or, where that anchor has
-    none, a certificate that the point has none either; and the arrowhead
-    at every point that neither certifies.
+def _nearest(xa, x):
+    """Index of the nearest of the ascending xa to each x."""
+    j = np.searchsorted(xa, x)
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j, xa.size - 1)
+    return np.where(x - xa[lo] <= xa[hi] - x, lo, hi)
 
-    The anchors come from one of two sources. anchors = (xa, ma), ascending
-    xa > 0 with the admissible root ma of each, as a support scan solved
-    them, needs no eigensolve; the batch then has no anchor of its own, and
-    each point's result depends on the anchors alone, not on the rest of the
-    batch. Without them the arrowhead solves every ANCHOR_STRIDE-th point in
-    x order and the last. A wrong anchor root costs a Newton run and an
-    arrowhead solve, never a wrong answer: every root returned is certified
-    or eigensolved.
+
+def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float, seeds=None):
+    """(m, |f|, n_candidates) at real x > 0: certified Newton from a start
+    for each point, the outside certificate where its anchor has no
+    admissible root, and the arrowhead at every point that neither settles.
+
+    The starts come from one of two sources. seeds, one per point, as the
+    density tables take them from the support edges (density._fold_seeds),
+    need no eigensolve. A point that its seed does not certify takes Newton
+    from the root of the nearest point that its seed did certify. Without
+    seeds the arrowhead solves anchors, every ANCHOR_STRIDE-th point in x
+    order and the last, and each point starts from its nearest anchor's
+    admissible root. A wrong start costs a Newton run and an arrowhead
+    solve, never a wrong answer: every root returned is certified or
+    eigensolved.
 
     The outside certificate counts real roots of f = m - alpha +
     sum_k rho_k / (m - pi_k), whose numerator has degree d + 1 for d poles.
@@ -432,83 +440,88 @@ def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float, anchors=None):
     intervals come to d + 1 (_certified_outside). It then keeps m = nan,
     |f| = inf and no candidates, as the arrowhead would give it. A point
     that fails is left to the arrowhead: a failed certificate costs time,
-    never a wrong answer. Only eigensolved anchors outside the support have
-    witnesses; supplied anchors are all inside.
+    never a wrong answer.
     """
     m = np.full(x.shape, np.nan + 0j)
     resid = np.full(x.shape, np.inf)
     ncand = np.zeros(x.shape, dtype=int)
     rest = np.ones(x.shape, dtype=bool)
-    if anchors is None:
+
+    def certify(pts, start):
+        try:
+            mn, rn, ok = _newton_certified(x[pts], start, spec, z_mod)
+        except SolverError:    # an iterate hit a pole of f: leave it to the arrowhead
+            return
+        done = pts[ok]
+        m[done], resid[done], ncand[done] = mn[ok], rn[ok], 1
+        rest[done] = False
+
+    if seeds is not None:
+        certify(np.arange(x.size), seeds)
+        if rest.any() and not rest.all():
+            order = np.argsort(x[~rest], kind="stable")
+            xa, ma = x[~rest][order], m[~rest][order]
+            pts = np.nonzero(rest)[0]
+            certify(pts, ma[_nearest(xa, x[pts])])
+    else:
         order = np.argsort(x, kind="stable")
         ak = order[np.unique(np.r_[0:x.size:ANCHOR_STRIDE, x.size - 1])]   # ascending in x
         m[ak], resid[ak], ncand[ak], roots = _solve_arrowhead(x[ak], u[ak], spec, z_mod)
         rest[ak] = False
         xa, ma, ua, inside = x[ak], m[ak], u[ak], ncand[ak] > 0
-    else:
-        xa, ma = anchors
-        inside = np.ones(xa.shape, dtype=bool)
-
-    # the nearest anchor in x: Newton from its root where it is inside the
-    # support, the certificate from its witnesses where it is outside
-    j = np.searchsorted(xa, x)
-    lo, hi = np.maximum(j - 1, 0), np.minimum(j, xa.size - 1)
-    j = np.where(x - xa[lo] <= xa[hi] - x, lo, hi)
-    seeded = np.nonzero(rest & inside[j])[0]
-    if seeded.size:
-        try:
-            mn, rn, ok = _newton_certified(x[seeded], ma[j[seeded]], spec, z_mod)
-        except SolverError:    # an iterate hit a pole of f: leave it to the arrowhead
-            ok = np.zeros(seeded.shape, dtype=bool)
-        done = seeded[ok]
-        m[done], resid[done], ncand[done] = mn[ok], rn[ok], 1
-        rest[done] = False
-    cand = np.nonzero(rest & ~inside[j])[0]
-    if cand.size:
-        wk = np.full(xa.shape, -1)
-        W = np.zeros(xa.shape + (2,))
-        wk[~inside], W[~inside] = _witnesses(ua[~inside], roots[~inside], spec, z_mod)
-        cand = cand[wk[j[cand]] >= 0]
-    if cand.size:
-        try:
-            certified = _certified_outside(x[cand], u[cand], wk[j[cand]], W[j[cand]],
-                                           spec, z_mod)
-            rest[cand[certified]] = False
-        except SolverError:    # a witness is on a pole of f
-            pass
+        # the nearest anchor in x: Newton from its root where it is inside the
+        # support, the certificate from its witnesses where it is outside
+        j = _nearest(xa, x)
+        pts = np.nonzero(rest & inside[j])[0]
+        if pts.size:
+            certify(pts, ma[j[pts]])
+        cand = np.nonzero(rest & ~inside[j])[0]
+        if cand.size:
+            wk = np.full(xa.shape, -1)
+            W = np.zeros(xa.shape + (2,))
+            wk[~inside], W[~inside] = _witnesses(ua[~inside], roots[~inside], spec, z_mod)
+            cand = cand[wk[j[cand]] >= 0]
+        if cand.size:
+            try:
+                certified = _certified_outside(x[cand], u[cand], wk[j[cand]], W[j[cand]],
+                                               spec, z_mod)
+                rest[cand[certified]] = False
+            except SolverError:    # a witness is on a pole of f
+                pass
     if rest.any():
         m[rest], resid[rest], ncand[rest] = _solve_arrowhead(x[rest], u[rest], spec, z_mod)[:3]
     return m, resid, ncand
 
 
-def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float, anchors=None):
+@one_blas_thread
+def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float, seeds=None):
     """Vectorized master-equation solve for an array of w in the upper half-plane.
 
     Returns (m, m1, m2, residual, n_candidates). Entries with no admissible
     root get m = nan and n_candidates = 0 (at real w: outside the support).
-    Raises SolverError when a returned root misses RESIDUAL_TOL.
+    Raises SolverError when a returned root misses RESIDUAL_TOL. The
+    eigensolves run on one BLAS thread.
 
-    A batch of real w > 0 is solved from anchors (_solve_anchored). anchors
-    = (xa, ma) are roots the caller already holds: ascending real xa > 0
-    inside the support, each with its admissible root ma, as a support scan
-    certified them. They take no eigensolve, and each point's root then
-    depends on them alone, not on the rest of its batch. Without them, a
-    batch of at least 2 ANCHOR_STRIDE points eigensolves its own anchors:
-    every ANCHOR_STRIDE-th point in x order and the last. Every other point
-    looks at its nearest anchor. If the anchor has an admissible root, the
-    point runs Newton on f from it and keeps the result only if it is
-    certified (see _newton_certified). If it has none, the point is
-    certified outside the support when a sign count finds all d + 1 roots
-    of f real, at the anchor's witnesses. The rest go to the arrowhead. At
-    real x the admissible root is unique, so a certified root is the one the
-    arrowhead would pick, and a point certified outside has none, as the
-    arrowhead would find. The last bits of a real-w root can therefore
-    depend on its anchors, and with eigensolved anchors on the rest of its
-    batch; the same call gives the same bits on every run.
+    A batch of real w > 0 is solved by certified Newton (_solve_anchored).
+    seeds, in the shape of w, are starting roots the caller holds, as the
+    density tables take them from the support edges; they take no
+    eigensolve, and a point its seed does not certify starts again from the
+    nearest point that its seed did certify. Without them, a batch of at
+    least 2 ANCHOR_STRIDE points eigensolves its own anchors: every
+    ANCHOR_STRIDE-th point in x order and the last. Every other point looks
+    at its nearest anchor. If the anchor has an admissible root, the point
+    runs Newton on f from it and keeps the result only if it is certified
+    (see _newton_certified). If it has none, the point is certified outside
+    the support when a sign count finds all d + 1 roots of f real, at the
+    anchor's witnesses. The rest go to the arrowhead. At real x the
+    admissible root is unique, so a certified root is the one the arrowhead
+    would pick, and a point certified outside has none, as the arrowhead
+    would find. The last bits of a real-w root can therefore depend on its
+    start and on the rest of its batch; the same call gives the same bits on
+    every run.
 
-    Complex w, and real batches under 2 ANCHOR_STRIDE points without
-    anchors, take one arrowhead eigensolve per point; complex w ignore
-    anchors.
+    Complex w, and real batches under 2 ANCHOR_STRIDE points without seeds,
+    take one arrowhead eigensolve per point; complex w ignore seeds.
     """
     w = np.asarray(w, dtype=complex)
     shape = w.shape
@@ -517,8 +530,9 @@ def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float, anchors=None):
     if np.any(u == 0):
         raise DomainError("the master equation needs w != 0")
     real = bool(np.all(u.imag == 0))
-    if real and (anchors is not None or wf.size >= 2 * ANCHOR_STRIDE):
-        m, resid, ncand = _solve_anchored(wf.real, u.real, spec, z_mod, anchors)
+    if real and (seeds is not None or wf.size >= 2 * ANCHOR_STRIDE):
+        seeds = None if seeds is None else np.asarray(seeds, dtype=complex).ravel()
+        m, resid, ncand = _solve_anchored(wf.real, u.real, spec, z_mod, seeds)
     else:
         m, resid, ncand = _solve_arrowhead(wf, u.real if real else u, spec, z_mod)[:3]
     ok = ncand > 0
@@ -601,19 +615,18 @@ def cubic_factorize(w: float, spec: SigmaSpectrum, z_mod: float) -> CubicFactori
 # densities on the real axis
 # ---------------------------------------------------------------------------
 
-def density_batch(x, spec: SigmaSpectrum, z_mod: float, anchors=None):
+def density_batch(x, spec: SigmaSpectrum, z_mod: float, seeds=None):
     """(rho1, rho2) at positive x, solved at w = x on the real axis.
 
     Inside the support the real arrowhead has one conjugate pair of roots;
     its admissible member gives rho = Im m / pi. Outside the support no root
-    is admissible and rho = 0. anchors = (xa, ma), the roots a support scan
-    certified inside the support, seed the solve with no eigensolve of its
-    own (see solve_master_batch).
+    is admissible and rho = 0. seeds, starting roots in the shape of x,
+    spare the solve its eigensolves (see solve_master_batch).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise DomainError("density_batch needs x > 0")
-    _, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod, anchors)
+    _, m1, m2, _, ncand = solve_master_batch(x, spec, z_mod, seeds)
     ok = ncand > 0
     rho1, rho2 = np.zeros(x.shape), np.zeros(x.shape)
     rho1[ok] = m1[ok].imag / np.pi

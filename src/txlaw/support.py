@@ -2,12 +2,12 @@
 
 The support of rho_{1,2} on (0, inf) is a finite union of bands whose
 endpoints satisfy f = df/dm = 0 simultaneously. A real x > 0 lies in the
-support iff the master equation at w = x has an admissible root. A
-log-uniform scan of that test brackets each edge between two grid points;
-a two-variable real Newton iteration on (f, df/dm) = 0, started at the
-bracket's inside end from the root the scan solved there, finds the edge
-(one batch for all of a scan's edges), and one batched probe of the test
-confirms that the support flips at it.
+support iff the master equation at w = x has an admissible root. The edges
+are the folds of the real curve f(u, m) = 0, u = sqrt(x): one batched
+symmetric eigensolve samples its branches u_k(m) over real m, each interior
+extremum with u > 0 starts a two-variable real Newton iteration on
+(f, df/dm) = 0 (one batch for all of them), and one batched probe of the
+support test keeps the folds where the support flips.
 For |z| < 1 the lowest band reaches 0 where the density diverges like
 x^(-1/2) with a computable scale t.
 """
@@ -15,18 +15,20 @@ x^(-1/2) with a computable scale t.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketingError, DomainError, SolverError
-from .linalg import arrowhead_derivative_eigvals, symmetric_eigvals
+from .linalg import (arrowhead_derivative_eigvals, one_blas_thread,
+                     symmetric_arrowhead_eigvals, symmetric_eigvals)
 from .master import _arrowhead, density_batch, master_f_all, solve_master_batch
 from .sigma import ModelParams, SigmaSpectrum, sigma_harmonic_mean
 
 EDGE_F_TOL = 1e-10
 EDGE_DF_TOL = 1e-8
-GRID_LO = 1e-6          # lowest point of the support scan
+M_POINTS = 200          # m-curve points per interval between its cuts
+M_MAX_SCALE = 32.0      # the m-curve spans |m| <= M_MAX_SCALE sqrt(s_1 + |z|^2 + 1)
 EDGE_PROBE = 1e-6       # relative offset of the support probes on each side of an edge
 ZERO_EDGE_TAU = 0.05    # the zero edge needs |z|^2 <= 1 - ZERO_EDGE_TAU
 EDGE_NEWTON_MAX = 80    # cap on the two-variable edge Newton iteration
@@ -71,6 +73,7 @@ class CriticalPointSet:
         )
 
 
+@one_blas_thread
 def critical_points(w: float, spec: SigmaSpectrum, z_mod: float) -> CriticalPointSet:
     """All real critical points of f at real w > 0, with occupancy checks.
 
@@ -196,11 +199,8 @@ class ZeroEdgeInfo:
 class SupportProfile:
     """Bands and edges of the support at one |z|.
 
-    scan_roots = (x, m) holds the scan points inside the support, ascending,
-    with the admissible root the scan certified at each. Tables seed their
-    solves from them (density_batch). They are not part of the profile's
-    value: repr, equality and as_dict leave them out; None where no scan
-    made the profile.
+    scan_points is the number of m-curve points that located the edges and
+    scan_max the m_max of their intervals.
     """
 
     z_mod: float
@@ -209,15 +209,6 @@ class SupportProfile:
     zero_edge: ZeroEdgeInfo | None
     scan_points: int
     scan_max: float
-    scan_roots: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-
-    def as_dict(self) -> dict:
-        """The profile as edges.json and bands.json hold it: every field but
-        scan_roots, nested dataclasses as dicts."""
-        d = asdict(replace(self, scan_roots=None))
-        del d["scan_roots"]
-        return d
 
     @property
     def bands_ascending(self) -> tuple[tuple[float, float], ...]:
@@ -330,79 +321,89 @@ def _refine_edges_newton(
     return got
 
 
+def _m_curve_starts(spec: SigmaSpectrum, z_mod: float, m_max: float):
+    """(E0, m0, points): the interior extrema with u > 0 of the real branches
+    u_k(m) of f(u, m) = 0, sampled on M_POINTS cosine-graded points of each
+    m-interval between the cuts -m_max, -|z|, 0, |z| and m_max.
+
+    With A = m (m^2 - |z|^2), B_i = (s_i + |z|^2) m^2 - |z|^4 and
+    c_i = w_i s_i, f = -u + m + A sum_i c_i / (u A - B_i). At real m with
+    A != 0, v = u A turns f A = 0 into the secular equation
+    v - m A - A^2 sum_i c_i / (v - B_i) = 0, whose n + 1 real roots are the
+    eigenvalues of the symmetric arrowhead [[m A, A sqrt(c)^T],
+    [A sqrt(c), diag(B)]]. They interlace with the B_i, so the k-th
+    eigenvalue gives a smooth branch u_k = v_k / A on each interval, and
+    where du_k/dm = -f_m / f_u changes sign, f = f_m = 0: a fold of the real
+    curve, the Silverstein-Choi characterization of the support edges
+    (J. Multivariate Anal. 54, 1995). One eigensolve takes all points. Where
+    |z|^4 underflows the intervals around 0 vanish, and only 0 cuts the
+    line, as master._arrowhead drops the poles near +-|z| there.
+    """
+    z2 = z_mod * z_mod
+    cuts = [-m_max, 0.0, m_max]
+    if z2 * z2 >= np.finfo(float).tiny:
+        cuts = [-m_max, -z_mod, 0.0, z_mod, m_max]
+    # Chebyshev points of each interval, clustered toward its ends
+    t = 0.5 * (1 - np.cos(np.pi * (np.arange(M_POINTS) + 0.5) / M_POINTS))
+    m = np.array([lo + (hi - lo) * t for lo, hi in zip(cuts[:-1], cuts[1:])])
+    s = np.asarray(spec.s, dtype=float)
+    A = m * (m * m - z2)
+    B = (s + z2) * (m * m)[..., None] - z2 * z2
+    v = symmetric_arrowhead_eigvals(m * A, A[..., None] * np.sqrt(spec.weights * s), B)
+    u = v / A[..., None]                # (intervals, M_POINTS, n + 1)
+    # at |z| = 0, u = 0 solves f = 0 at every m: a branch of rounding noise,
+    # whose folds are no edges
+    noise = 64 * spec.n * np.finfo(float).eps * np.abs(v).max(axis=-1, keepdims=True)
+    clear = np.abs(v) > noise
+    du = np.diff(u, axis=1)
+    turn = (du[:, :-1] * du[:, 1:] < 0) & (u[:, 1:-1] > 0) & clear[:, 1:-1]
+    iv, i, _ = np.nonzero(turn)
+    return u[:, 1:-1][turn] ** 2, m[iv, i + 1], m.size
+
+
+@one_blas_thread
 def find_edges(
     spec: SigmaSpectrum,
     z_mod: float,
     params: ModelParams = ModelParams(),
-    scan_points: int = 2000,
 ) -> SupportProfile:
     """Locate all support bands and edges of the limiting densities.
 
-    Scans the exact support test on scan_points log-uniform points of
-    [GRID_LO, 4 (s_1 + |z|^2 + 1)]. Each sign change brackets one edge; the
-    two-variable Newton iteration on (f, df/dm) = 0 starts at the bracket's
-    inside end, with m the real part of the admissible root the scan solved
-    there. All of a scan's edges iterate in one batch (_refine_edges_newton),
-    with the bits of one-edge runs. Each edge must land inside its bracket,
-    and one batched support test must put e (1 -/+ EDGE_PROBE) inside and
-    e (1 +/- EDGE_PROBE) outside the support. Any failure rescans once at 4x
-    resolution; a second failure raises BracketingError naming both scan
-    sizes. An edge is `refined` when it also meets |f| <= EDGE_F_TOL,
-    |df/dm| <= EDGE_DF_TOL.
+    The Newton starts are the folds of the real m-curve (_m_curve_starts),
+    with m_max = 32 sqrt(s_1 + |z|^2 + 1). The two-variable Newton iteration
+    on (f, df/dm) = 0 refines all of them in one batch
+    (_refine_edges_newton), and one batched support test at
+    e (1 -/+ EDGE_PROBE) keeps the edges where the support flips: outside
+    below and inside above for a lower edge, the other way round for an
+    upper one. Ascending, the kept edges must alternate, upper edges last; an
+    upper edge first means that the lowest band reaches 0. A failed Newton
+    row, or sides that do not alternate, raise BracketingError. An edge is
+    `refined` when it also meets |f| <= EDGE_F_TOL, |df/dm| <= EDGE_DF_TOL.
     params.check_z rejects |z| in the excluded band around the unit circle.
     """
     params.check_z(z_mod)
     spec.require_normalized()
-    scan_max = 4.0 * (spec.s[0] + z_mod * z_mod + 1.0)
-
-    try:
-        return _find_edges_once(spec, z_mod, scan_points, scan_max)
-    except BracketingError:
-        pass
-    try:
-        return _find_edges_once(spec, z_mod, 4 * scan_points, scan_max)
-    except BracketingError as exc:
-        raise BracketingError(
-            f"the support scan failed at {scan_points} and at {4 * scan_points} points "
-            f"({exc}); raise the scan resolution (--grid)"
-        ) from exc
-
-
-def _find_edges_once(
-    spec: SigmaSpectrum, z_mod: float, scan_points: int, scan_max: float
-) -> SupportProfile:
-    grid = np.exp(np.linspace(np.log(GRID_LO), np.log(scan_max), scan_points))
-    m_scan, _, _, _, ncand = solve_master_batch(grid, spec, z_mod)
-    inside = ncand > 0
-    if inside[-1]:
-        raise BracketingError(f"support reaches the scan ceiling {scan_max:g}")
-    if not np.any(inside):
-        raise BracketingError("no support found on the scan grid")
-
-    # one edge per sign change of the scan, ascending; Newton starts at the
-    # bracket's inside end from the root the scan solved there
-    cross = np.nonzero(np.diff(inside.astype(int)))[0]
-    start = np.where(inside[cross], cross, cross + 1)
-    edges_asc = []
-    for k, got in zip(cross, _refine_edges_newton(grid[start], m_scan[start].real, spec, z_mod)):
-        side = "upper" if inside[k] else "lower"
-        if got is None or not grid[k] <= got[0] <= grid[k + 1]:
-            raise BracketingError(f"edge Newton left its bracket [{grid[k]:g}, {grid[k + 1]:g}]")
-        edges_asc.append((side, *got))
-
-    # the support must flip at each edge: inside probes first, then outside ones
-    e = np.array([ed[1] for ed in edges_asc])
-    into = np.array([1.0 if ed[0] == "lower" else -1.0 for ed in edges_asc])
-    probe = _inside(np.concatenate([e * (1 + into * EDGE_PROBE), e * (1 - into * EDGE_PROBE)]),
-                    spec, z_mod)
-    if not (probe[: e.size].all() and not probe[e.size:].any()):
-        raise BracketingError("an edge Newton converged off the support crossing")
+    m_max = M_MAX_SCALE * np.sqrt(spec.s[0] + z_mod * z_mod + 1.0)
+    E0, m0, points = _m_curve_starts(spec, z_mod, m_max)
+    got = _refine_edges_newton(E0, m0, spec, z_mod)
+    if not got or None in got:
+        raise BracketingError("no m-curve fold, or an edge Newton failed from one")
+    got.sort()
+    e = np.array([g[0] for g in got])
+    probe = _inside(np.concatenate([e * (1 - EDGE_PROBE), e * (1 + EDGE_PROBE)]), spec, z_mod)
+    below, above = probe[: e.size], probe[e.size:]
+    edges_asc = [("lower" if up else "upper", *g)
+                 for g, down, up in zip(got, below, above) if down != up]
+    sides = [ed[0] for ed in edges_asc]
+    touches_zero = sides[:1] == ["upper"]
+    if not sides or sides != (["upper"] * touches_zero
+                              + ["lower", "upper"] * (len(sides) // 2)):
+        raise BracketingError(f"the support edges do not alternate: {sides}")
 
     # each edge's gap is to the nearest other edge, or to 0 where the lowest
     # band reaches it
-    touches_zero = bool(inside[0])
     zero = [0.0] if touches_zero else []
-    pos = e.tolist()
+    pos = [ed[1] for ed in edges_asc]
     band_edges = zero + pos
     edges = []
     for k, (side, e_k, m_c, fabs, dfabs, d2f) in enumerate(edges_asc):
@@ -432,9 +433,8 @@ def _find_edges_once(
         bands=tuple(sorted(bands_asc, reverse=True)),
         edges=tuple(sorted(edges, key=lambda e: -e.e)),
         zero_edge=zero_edge,
-        scan_points=scan_points,
-        scan_max=scan_max,
-        scan_roots=(grid[inside], m_scan[inside]),
+        scan_points=points,
+        scan_max=float(m_max),
     )
 
 

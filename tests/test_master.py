@@ -16,7 +16,6 @@ from txlaw.master import (ANCHOR_STRIDE, _arrowhead, _certified_outside, _cubic_
                           _newton, _newton_certified, _pole_intervals, _solve_arrowhead,
                           _witnesses)
 from txlaw.sigma import MERGE_RTOL
-from txlaw.support import GRID_LO
 from txlaw.oracles import mp_density
 from conftest import bench, bench_law, mp_stieltjes
 
@@ -293,9 +292,10 @@ def _counting_eigvals(monkeypatch):
 
 
 def _scan_grid(spec, z, points=2000):
-    """The default support scan of find_edges."""
+    """A log-uniform x grid of [1e-6, 4 (s_1 + |z|^2 + 1)], across every band
+    and the gaps around them."""
     top = 4.0 * (spec.s[0] + z * z + 1.0)
-    return np.exp(np.linspace(np.log(GRID_LO), np.log(top), points))
+    return np.exp(np.linspace(np.log(1e-6), np.log(top), points))
 
 
 def test_one_eigensolve_per_complex_master_solve(fig2_spec, monkeypatch):
@@ -571,27 +571,41 @@ def _check_against_mpmath(x, m, base, spec, z, x_eps=0):
         assert abs(m[k] - want) <= 1e-12 * abs(want) + tol, (z, x[k], m[k], want)
 
 
+def _table_roots(monkeypatch, spec, z, resolution=2000):
+    """The table and the nodes x with the roots m that its density_batch
+    calls solved: the same batches with the same seeds give the same bits."""
+    batches = []
+    real = txlaw.density.density_batch
+
+    def recording(x, spec, z_mod, seeds):
+        batches.append((x.ravel(), seeds.ravel()))
+        return real(x, spec, z_mod, seeds)
+
+    monkeypatch.setattr(txlaw.density, "density_batch", recording)
+    table = txlaw.tabulate_density(spec, z, resolution)
+    monkeypatch.undo()
+    x = np.concatenate([b[0] for b in batches])
+    m = np.concatenate([txlaw.solve_master_batch(xb, spec, z, sb)[0] for xb, sb in batches])
+    return table, x, m
+
+
 @pytest.mark.parametrize("name", ["fig2_spec", "many_spec"])
-def test_anchored_roots_against_mpmath(name, request):
-    # the 20 density-table nodes where the anchored root moved most from the
-    # arrowhead's, and the 20 where the root seeded from the support scan
-    # moved most from the anchored one, are within 1e-12 relative of
-    # 50-digit mpmath roots. The second check also allows the root's move
-    # under a relative move of 4 eps in x: its nodes include one 2.9e-10
-    # relative below fig2's top edge at |z| = 1.5, where the seeded, the
-    # anchored and the arrowhead root are all 2.3e-12 to 2.4e-12 relative
-    # from mpmath's, the move of the root under 1 ulp of x
+def test_anchored_roots_against_mpmath(name, request, monkeypatch):
+    # the 20 density-table nodes where the root from eigensolved anchors
+    # moved most from the arrowhead's, and the 20 where the root seeded from
+    # the band edges' folds moved most from the anchored one, are within
+    # 1e-12 relative of 50-digit mpmath roots. The second check also allows
+    # the root's move under a relative move of 4 eps in x: near an edge that
+    # move is the error of any backward-stable solve. The seeded roots are
+    # the table's own: rho2 from them is its column
     spec = request.getfixturevalue(name)
     for z in (0.5, 1.5):
-        profile = txlaw.find_edges(spec, z)
-        table = txlaw.tabulate_density(spec, z, profile=profile)
-        x = table.x
+        table, x, seeded = _table_roots(monkeypatch, spec, z)
+        rho2 = txlaw.m2_from_m1(seeded / np.sqrt(x) - 1, x, z).imag / np.pi
+        at = {xv: rv for xv, rv in zip(x.tolist(), rho2.tolist())}
+        assert np.array_equal(table.rho2, [at[xv] for xv in table.x.tolist()])
         m = txlaw.solve_master_batch(x, spec, z)[0]
         _check_against_mpmath(x, m, _arrowhead_only(x, spec, z)[0], spec, z)
-        seeded, _, m2, _, ncand = txlaw.solve_master_batch(x, spec, z, profile.scan_roots)
-        # the table's nodes, solved in split-depth batches, have these roots:
-        # a seeded root does not depend on the rest of its batch
-        assert np.array_equal(m2.imag / np.pi, table.rho2) and np.all(ncand == 1)
         _check_against_mpmath(x, seeded, m, spec, z, x_eps=4)
 
 
@@ -609,24 +623,47 @@ def test_scan_eigensolves_under_300_rows(fig2_spec, many_spec, monkeypatch):
 
 
 def test_seeded_tables_eigensolve_only_fallbacks(fig2_spec, many_spec, monkeypatch):
-    # a table seeds Newton from the roots its support scan certified: it
-    # eigensolves no anchor, only the few nodes that no seed certifies. A
-    # profile without scan roots still tabulates, through eigensolved
-    # anchors, at least one per ANCHOR_STRIDE nodes
+    # a table seeds Newton from its band edges' folds: it eigensolves no
+    # anchor, only the few nodes that neither their seed nor the nearest
+    # certified node certifies. Its nodes solved through eigensolved
+    # anchors, at least one per ANCHOR_STRIDE nodes, give the same table:
+    # rho2 within 1e-7 relative, plus its move under 4 eps of x, 4 eps x /
+    # (2 d) at a distance d from the nearest edge (it is 1.2e-7 relative
+    # 4e-9 below many_spec's top edge at |z| = 0.5, where 1 ulp of x moves
+    # rho2 by 3.6e-7)
     calls = _counting_eigvals(monkeypatch)
     for spec in (fig2_spec, many_spec):
         for z in (0.5, 1.2, 1.5):
+            profile = txlaw.find_edges(spec, z)
             for grid in (2000, 200):
-                profile = txlaw.find_edges(spec, z, scan_points=grid)
                 calls.clear()
                 table = txlaw.tabulate_density(spec, z, grid, profile)
                 assert sum(shape[0] for shape in calls) <= 16, (spec.n, z, grid, calls)
                 calls.clear()
-                bare = txlaw.tabulate_density(spec, z, grid, replace(profile, scan_roots=None))
+                rho1, rho2 = txlaw.density_batch(table.x, spec, z)
                 assert sum(shape[0] for shape in calls) >= table.x.size / ANCHOR_STRIDE
-                assert np.array_equal(bare.x, table.x)
-                assert np.allclose(bare.rho2, table.rho2, rtol=1e-7, atol=0)
-                assert abs(bare.total_mass - table.total_mass) <= 1e-12
+                d = np.min(np.abs(table.x[:, None] - np.ravel(profile.bands)), axis=1)
+                tol = 1e-7 + 4 * np.finfo(float).eps * table.x / (2 * d)
+                assert np.all(np.abs(rho2 - table.rho2) <= tol * table.rho2)
+                assert abs(np.sum(rho2 * table.weight) - table.total_mass) <= 1e-12
+
+
+def test_unseeded_nodes_start_from_the_nearest_certified_node(fig2_spec, monkeypatch):
+    # seeds that certify nothing at every other node: those nodes take
+    # Newton from their certified neighbours, not the arrowhead
+    profile = txlaw.find_edges(fig2_spec, 1.5)
+    (lo, hi), = profile.bands_ascending
+    x = np.linspace(lo, hi, 66)[1:-1]
+    m = txlaw.solve_master_batch(x, fig2_spec, 1.5)[0]
+    seeds = m.copy()
+    seeds[::2] = np.nan
+    calls = _counting_eigvals(monkeypatch)
+    got, _, _, _, ncand = txlaw.solve_master_batch(x, fig2_spec, 1.5, seeds)
+    assert calls == [] and np.all(ncand == 1)
+    assert np.allclose(got, m, rtol=1e-13, atol=0)
+    seeds[:] = np.nan
+    got, _, _, _, ncand = txlaw.solve_master_batch(x, fig2_spec, 1.5, seeds)
+    assert sum(shape[0] for shape in calls) == x.size and np.all(ncand == 1)
 
 
 def _anchor_witnesses(spec, z, i):

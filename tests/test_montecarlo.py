@@ -89,6 +89,43 @@ def test_run_ensemble_restores_blas_threads(spec200, monkeypatch):
             assert get() == before
 
 
+def test_law_solves_in_the_pool_restore_blas_threads(fig2_200, monkeypatch):
+    # the law's entry points run their eigensolves on one BLAS thread: alone,
+    # inside run_ensemble's pool, and on two threads of the caller's own
+    # pool at once; the caller's count comes back after each
+    from concurrent.futures import ThreadPoolExecutor
+
+    from txlaw import support
+
+    fns = linalg._blas_thread_fns()
+    if not fns:
+        pytest.skip("numpy has no OpenBLAS")
+    get = fns[0]
+    seen = []
+    curve, sample = support.symmetric_arrowhead_eigvals, montecarlo.sample_run
+
+    def spy(*args):
+        seen.append(get())
+        return curve(*args)
+
+    def with_law(cfg, k):
+        txlaw.tabulate_density(cfg.spec, 1.5, 200)
+        return sample(cfg, k)
+
+    monkeypatch.setattr(support, "symmetric_arrowhead_eigvals", spy)
+    monkeypatch.setattr(montecarlo, "sample_run", with_law)
+    with linalg.blas_threads(2):
+        before = get()
+        txlaw.find_edges(fig2_200, 1.5)
+        assert seen == [1] and get() == before == 2
+        runs = txlaw.run_ensemble(small_cfg(fig2_200, runs=4, threads=2, z_list=(1.5 + 0j,)))
+        assert not any(r.failed for r in runs) and get() == before
+        with ThreadPoolExecutor(2) as pool:
+            list(pool.map(lambda z: txlaw.find_edges(fig2_200, z), [0.5, 1.2, 1.5, 2.0]))
+        assert get() == before
+    assert seen == [1] * 9
+
+
 @pytest.mark.parametrize("z", [0.5 + 0j, 1.5 + 0j, 1.2 * np.exp(0.7j)])
 def test_singular_spectrum_matches_svdvals(fig2_200, z):
     # Gram eigenvalues of one draw against the squared singular values of the

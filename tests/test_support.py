@@ -134,20 +134,74 @@ def test_dyson_gap_edge_against_40_digit_fold(fig2_spec):
         assert bench.gap_edge(bench_law(fig2_spec), z) == pytest.approx(want, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("z", [
-    0.5,
-    pytest.param(1.5, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP direction 10: the default scan misses the gap "
-               "(0.97516, 0.97936) that a 32,000-point scan finds")),
-])
+def _mask_bands(spec, z, points=32000):
+    """Bands of the support mask of solve_master_batch on a log-uniform x grid
+    of [1e-6, 4 (s_1 + |z|^2 + 1)], as ascending brackets (x_k, x_k+1) of
+    each edge; None stands for the zero edge below the grid."""
+    x = np.geomspace(1e-6, 4.0 * (spec.s[0] + z * z + 1.0), points)
+    inside = txlaw.solve_master_batch(x, spec, z)[4] > 0
+    assert not inside[-1]
+    cross = np.nonzero(np.diff(inside.astype(int)))[0]
+    brackets = [None] * bool(inside[0]) + [(x[k], x[k + 1]) for k in cross]
+    return list(zip(brackets[::2], brackets[1::2]))
+
+
+@pytest.mark.parametrize("z", [0.5, 1.5])
 def test_two_band_spectrum(twoband_spec, z):
+    # at 1.5 the bands include the gap (0.97516, 0.97936), which a
+    # 32,000-point mask resolves
     prof = txlaw.find_edges(twoband_spec, z)
-    fine = txlaw.find_edges(twoband_spec, z, scan_points=32000)
-    assert len(prof.bands) == len(fine.bands) >= 2
+    assert len(prof.bands) == len(_mask_bands(twoband_spec, z)) >= 2
     # bands descending and disjoint
     for (a_lo, _), (_, b_hi) in zip(prof.bands, prof.bands[1:]):
         assert a_lo > b_hi
+
+
+def _check_bands_against_mask(spec, z):
+    """Each band edge lies in its bracket of the 32,000-point support mask."""
+    got = txlaw.find_edges(spec, z).bands_ascending
+    want = _mask_bands(spec, z)
+    assert len(got) == len(want), (spec.s, z, got, want)
+    for band, brackets in zip(got, want):
+        for e, bracket in zip(band, brackets):
+            if bracket is None:
+                assert e == 0.0
+            else:
+                assert bracket[0] <= e <= bracket[1], (spec.s, z, e, bracket)
+
+
+def test_sixty_spectra_against_dense_mask():
+    # n = 2 to 8 values, |z| in [0.05, 0.9] or [1.1, 3]: the m-curve finds
+    # every band that a 32,000-point x mask resolves, each edge in its bracket
+    rng = np.random.default_rng(60)
+    for k in range(60):
+        n = int(rng.integers(2, 9))
+        spec, _ = txlaw.normalize_spectrum(rng.uniform(0.05, 6.0, n), [10] * n,
+                                           10 * n, 10 * n)
+        z = float(rng.uniform(0.05, 0.9) if k % 2 else rng.uniform(1.1, 3.0))
+        _check_bands_against_mask(spec, z)
+
+
+def test_twoband_cusp_sweep(twoband_spec):
+    # a gap opens at a cusp near |z| = 1.407, 2.1e-5 wide at 1.41, which no
+    # x scan of 128,000 points resolves. support_indicator witnesses every
+    # band and gap at its midpoint, and the support flips at every edge
+    counts = []
+    for z in np.round(np.arange(1.40, 1.525, 0.01), 2):
+        prof = txlaw.find_edges(twoband_spec, float(z))
+        bands = prof.bands_ascending
+        counts.append(len(bands))
+        for lo, hi in bands:
+            assert txlaw.support_indicator(0.5 * (lo + hi), twoband_spec, z)
+        for (_, top), (bottom, _) in zip(bands, bands[1:]):
+            assert not txlaw.support_indicator(0.5 * (top + bottom), twoband_spec, z)
+        for ed in prof.edges:
+            assert ed.refined
+        if z == 1.41:
+            (_, top), (bottom, _) = bands[:2]
+            assert top == pytest.approx(0.8190882, rel=1e-7)
+            assert bottom == pytest.approx(0.8191091, rel=1e-7)
+    assert counts == [2] + [3] * 12
 
 
 @pytest.mark.parametrize("spec_name, z", [
@@ -179,47 +233,68 @@ def _count_master_solves(monkeypatch):
     return calls
 
 
+def _count_curve_solves(monkeypatch):
+    """Record the shape of every batched np.linalg.eigvalsh argument (the
+    m-curve's; zero_edge_scale solves one n x n matrix) and the size of every
+    edge-Newton batch."""
+    curve, newton = [], []
+    eigvalsh, refine = np.linalg.eigvalsh, support._refine_edges_newton
+
+    def counting_eigvalsh(a):
+        if np.ndim(a) > 2:
+            curve.append(np.shape(a))
+        return eigvalsh(a)
+
+    def counting_newton(E0, m0, spec, z_mod):
+        newton.append(E0.size)
+        return refine(E0, m0, spec, z_mod)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(support, "_refine_edges_newton", counting_newton)
+    return curve, newton
+
+
 @pytest.mark.parametrize("spec_name, z, grid", [
     ("fig2_spec", 0.5, 2000), ("fig2_spec", 1.2, 2000), ("fig2_spec", 1.5, 2000),
     ("many_spec", 0.5, 200),
 ])
 def test_find_edges_solves_scan_and_one_probe_batch(request, monkeypatch, spec_name, z, grid):
-    # no per-step bisection: one scan and one batch of flip probes
+    # the scan is the m-curve's: one batched eigensolve of 4 x 200 arrowheads,
+    # one edge-Newton batch and one batch of flip probes, with no x scan and
+    # no per-step bisection. A table at any resolution adds none of them
     spec = request.getfixturevalue(spec_name)
     calls = _count_master_solves(monkeypatch)
-    prof = txlaw.find_edges(spec, z, scan_points=grid)
-    assert prof.scan_points == grid          # no 4x rescan
-    assert [w.size for w, _ in calls] == [grid, 2 * len(prof.edges)]
+    curve, newton = _count_curve_solves(monkeypatch)
+    prof = txlaw.find_edges(spec, z)
+    txlaw.tabulate_density(spec, z, grid, prof)
+    assert curve == [(4, support.M_POINTS, spec.n + 1, spec.n + 1)]
+    assert prof.scan_points == 4 * support.M_POINTS
+    assert len(newton) == 1 and newton[0] >= len(prof.edges)
+    assert [w.size for w, _ in calls] == [2 * len(prof.edges)]
     assert all(ed.refined for ed in prof.edges)
 
 
-def _bracket_midpoint(calls, E0):
-    """Midpoint of the last scan's bracket that has E0 as its inside end."""
-    grid, inside = calls[-1]
-    k = int(np.searchsorted(grid, E0))
-    j = k + 1 if k + 1 < grid.size and not inside[k + 1] else k - 1
-    assert inside[k] and not inside[j]
-    return 0.5 * (grid[k] + grid[j])
-
-
 @pytest.mark.parametrize("fault", ["none", "outside", "midpoint"])
-def test_edge_newton_failure_rescans_then_raises(fig2_spec, monkeypatch, fault):
+def test_edge_newton_failure_raises(fig2_spec, monkeypatch, fault):
+    # a failed row raises at once; an edge off the fold (half its value, or
+    # the middle of its band) fails the flip probes, so the sides of the
+    # edges left do not alternate
+    prof = txlaw.find_edges(fig2_spec, 1.5)
+    middle = {ed.e: 0.5 * sum(band) for band in prof.bands for ed in prof.edges
+              if ed.e in band}
     calls = _count_master_solves(monkeypatch)
-
-    def broken_edge(E0, m0):
-        e = {"none": None, "outside": 0.5 * E0,
-             "midpoint": _bracket_midpoint(calls, E0)}[fault]
-        return None if e is None else (e, m0, 0.0, 0.0, 1.0)
+    refine = support._refine_edges_newton
 
     def broken(E0, m0, spec, z_mod):
-        return [broken_edge(e, m) for e, m in zip(E0, m0)]
+        got = refine(E0, m0, spec, z_mod)
+        return [None if fault == "none" else
+                (0.5 * g[0] if fault == "outside" else middle[g[0]], *g[1:]) for g in got]
 
     monkeypatch.setattr(support, "_refine_edges_newton", broken)
     with pytest.raises(txlaw.BracketingError):
         txlaw.find_edges(fig2_spec, 1.5)
-    # the probe batch (two points per edge of fig2) is what catches the midpoint
-    scans = [2000, 4, 8000, 4] if fault == "midpoint" else [2000, 8000]
-    assert [w.size for w, _ in calls] == scans
+    # the probe batch (two points per edge of fig2) is what catches the others
+    assert [w.size for w, _ in calls] == ([] if fault == "none" else [4])
 
 
 def _edge_newton_starts(monkeypatch, specs, z):
@@ -466,25 +541,70 @@ def test_zero_edge_scale_domain(fig2_spec):
 
 
 def test_scan_metadata_in_profile(fig2_spec):
-    prof = txlaw.find_edges(fig2_spec, 1.5)
-    d = asdict(prof)
-    assert d["scan_points"] >= 2000 and d["scan_max"] > 10
-    assert len(d["edges"]) == 2
-
-
-def test_scan_roots_are_the_scans_certified_roots(fig2_spec):
-    # the profile carries the scan's inside points, ascending, with their
-    # admissible roots; they are not part of its value
-    for z in (0.5, 1.5):
+    # scan_points is the m-curve's size, 200 points on each interval between
+    # its cuts, and scan_max its m_max
+    for z, intervals in ((1.5, 4), (0.5, 4), (0.0, 2)):
         prof = txlaw.find_edges(fig2_spec, z)
-        x, m = prof.scan_roots
-        grid = np.exp(np.linspace(np.log(support.GRID_LO), np.log(prof.scan_max),
-                                  prof.scan_points))
-        m_scan, _, _, _, ncand = txlaw.solve_master_batch(grid, fig2_spec, z)
-        assert np.array_equal(x, grid[ncand > 0]) and np.array_equal(m, m_scan[ncand > 0])
-        assert np.all(np.diff(x) > 0) and np.all(m.imag > 0)
-        assert np.all(np.abs(txlaw.master_f(x, m, fig2_spec, z)) <= 1e-12)
-        bare = replace(prof, scan_roots=None)
-        assert prof == bare and hash(prof) == hash(bare) and repr(prof) == repr(bare)
-        assert repr(prof).endswith(f"scan_max={prof.scan_max!r})")
-        assert prof.as_dict() == {k: v for k, v in asdict(prof).items() if k != "scan_roots"}
+        d = asdict(prof)
+        assert d["scan_points"] == intervals * support.M_POINTS
+        assert d["scan_max"] == 32.0 * np.sqrt(fig2_spec.s[0] + z * z + 1.0)
+    assert len(asdict(txlaw.find_edges(fig2_spec, 1.5))["edges"]) == 2
+
+
+def _table_batches(monkeypatch, spec, z, resolution=2000):
+    """The table and the (x, seeds) of each of its density_batch calls."""
+    from txlaw import density
+
+    batches = []
+    real = density.density_batch
+
+    def recording(x, spec, z_mod, seeds):
+        batches.append((x, seeds))
+        return real(x, spec, z_mod, seeds)
+
+    monkeypatch.setattr(density, "density_batch", recording)
+    table = txlaw.tabulate_density(spec, z, resolution)
+    monkeypatch.setattr(density, "density_batch", real)
+    return table, batches
+
+
+@pytest.mark.parametrize("spec_name", ["fig2_spec", "twoband_spec", "many_spec"])
+def test_fold_seeds_certify_the_table_nodes(request, monkeypatch, spec_name):
+    # every node of a table gets a seed from its band's edges, with Im m >= 0,
+    # and certified Newton from the seeds alone settles at least 99% of them
+    spec = request.getfixturevalue(spec_name)
+    for z in (0.5, 1.2, 1.5):
+        _, batches = _table_batches(monkeypatch, spec, z)
+        x = np.concatenate([b[0].ravel() for b in batches])
+        seeds = np.concatenate([b[1].ravel() for b in batches])
+        assert np.all(seeds.imag >= 0)
+        m, resid, ok = txlaw.master._newton_certified(x, seeds, spec, z)
+        assert ok.mean() >= 0.99, (z, ok.mean())
+        assert np.all(resid[ok] <= 1e-12)
+
+
+def test_fold_seed_error_shrinks_toward_the_edge(fig2_spec):
+    # the fold expansion is m_c + O(sqrt(d)) with an error O(d) at a distance
+    # d from the edge: the seed's error over its offset from m_c falls like sqrt(d)
+    from txlaw.density import _fold_seeds
+
+    prof = txlaw.find_edges(fig2_spec, 1.5)
+    (lo, hi), = prof.bands_ascending
+    for e, m_c, into in ((lo, prof.edges[1].m_c, 1.0), (hi, prof.edges[0].m_c, -1.0)):
+        d = np.geomspace(1e-10, 1e-4, 7) * e
+        x = e + into * d
+        seed = _fold_seeds(x, np.zeros(x.size, dtype=int), prof, fig2_spec, 1.5)
+        root = txlaw.solve_master_batch(x, fig2_spec, 1.5)[0]
+        ratio = np.abs(seed - root) / np.abs(root - m_c)
+        assert np.all(ratio < 10 * np.sqrt(d / e)), ratio
+
+
+def test_merged_bands_raise_table_too_coarse(twoband_spec):
+    # a profile whose two lower bands merge across the gap (2.096, 2.168)
+    # puts table nodes where no root is admissible: no silent zero density
+    prof = txlaw.find_edges(twoband_spec, 2.0)
+    (a, _), (_, b), top = prof.bands_ascending
+    merged = replace(prof, bands=(top, (a, b)))
+    with pytest.raises(txlaw.TableTooCoarseError, match="gap"):
+        txlaw.tabulate_density(twoband_spec, 2.0, profile=merged)
+    assert txlaw.tabulate_density(twoband_spec, 2.0, profile=prof).total_mass == pytest.approx(1.0)
