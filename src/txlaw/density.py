@@ -269,7 +269,8 @@ def tabulate_density(
     depth solves the pending segments of all bands in one density_batch
     call, seeded from the band edges (_fold_seeds). Raises
     TableTooCoarseError when a node inside a band has no admissible root (a
-    gap that the edges missed), or when the rho2 mass misses 1 by more than
+    gap that the edges missed or, in a band that touches 0, a root too
+    ill-conditioned to solve), or when the rho2 mass misses 1 by more than
     1e-3 (a missed band).
     """
     if profile is None:
@@ -295,9 +296,14 @@ def tabulate_density(
         rho1, rho2 = density_batch(x, spec, z_mod, seeds)
         if np.any(rho2 == 0):
             k = np.unravel_index(np.argmax(rho2 == 0), x.shape)
+            band = (float(lo[k[0], 0]), float(hi[k[0], 0]))
+            cause = "the support has a gap that its edges miss"
+            if band[0] == 0.0:
+                # as w -> 0 the admissible root grows ill-conditioned
+                cause = f"either {cause}, or the root near x = 0 is too ill-conditioned to solve"
             raise TableTooCoarseError(
-                f"no admissible root at x = {x[k]!r} inside the band [{lo[k[0], 0]!r}, "
-                f"{hi[k[0], 0]!r}]: the support has a gap that its edges miss"
+                f"no admissible root at x = {float(x[k])!r} inside the band "
+                f"[{band[0]!r}, {band[1]!r}]: {cause}"
             )
         jac = 0.5 * (hi - lo) * np.sin(th)
         vals = rho2 * jac

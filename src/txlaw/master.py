@@ -19,28 +19,15 @@ Above the real axis one root is always admissible; at real w > 0 one is
 exactly inside the support. There everything is real, and the densities
 are solved directly.
 
-Along a batch of real w > 0 the arrowhead runs only at anchors, every
-ANCHOR_STRIDE-th point in x order, or at none where the caller hands in a
-starting root per point (the density tables seed them from the support
-edges). Every other point has one of three outcomes, decided from its
-start or its nearest anchor:
-
-- certified Newton, where the anchor is inside the support: Newton steps on
-  f from the anchor's root, kept if admissible, within RESIDUAL_TOL, with
-  forward error |f / f_m| at most FORWARD_RTOL |m|, and non-real by a margin
-  over that error;
-- certified outside, where the anchor is outside: all d + 1 roots of f
-  (d poles) are real, so none is admissible. The residues' signs fix the
-  parity of the root count in each interval between the sorted poles. The
-  anchor's roots show the one interval that holds two roots beyond its
-  parity, and the midpoints between them are its witnesses. At the point,
-  f's sign changes along that interval's ends and witnesses, each |f| above
-  a bound on its rounding, plus one root per other odd interval, must count
-  d + 1. This is O(n) per point, with no eigensolve;
-- the arrowhead, for every point that neither certificate settles.
-
-Since the admissible root at real w is unique, the three agree on the
-support and on the root to rounding.
+Along a batch of real w > 0 whose caller hands in a starting root per
+point (the density tables seed them from the support edges), most points
+take no eigensolve: Newton steps on f from the seed, kept if admissible,
+within RESIDUAL_TOL, with forward error |f / f_m| at most FORWARD_RTOL |m|,
+and non-real by a margin over that error. A point its seed does not certify
+starts again from the nearest certified point, and the arrowhead solves the
+rest. Since the admissible root at real w is unique, the two agree on the
+support and on the root to rounding. Every other batch takes the arrowhead
+at every point.
 
 All evaluators are vectorized over w and m.
 """
@@ -59,10 +46,8 @@ from .sigma import SigmaSpectrum
 UNIQUE_ETA = 1e-6     # above this Im w the admissible root must be unique
 RESIDUAL_TOL = 1e-12  # |f| contract for every returned root
 POLISH_STEPS = 4      # Newton steps on f after the eigensolve
-ANCHOR_STRIDE = 16    # real-axis batches: one arrowhead solve per this many points
-ANCHOR_NEWTON_MAX = 20  # cap on the Newton steps from an anchor root
-FORWARD_RTOL = 1e-13  # |f / f_m| <= FORWARD_RTOL |m| certifies an anchored Newton root
-SIGN_MARGIN = 64 * np.finfo(float).eps  # f's sign counts where |f| > this times its error bound
+CERTIFY_NEWTON_MAX = 20  # cap on the Newton steps of a certified root
+FORWARD_RTOL = 1e-13  # |f / f_m| <= FORWARD_RTOL |m| certifies a Newton root
 
 
 def sqrt_upper(w):
@@ -298,9 +283,9 @@ def _polish(w, m, spec: SigmaSpectrum, z_mod: float):
 
 
 def _solve_arrowhead(w, u, spec: SigmaSpectrum, z_mod: float):
-    """(m, |f|, n_candidates, roots) from one arrowhead eigensolve per point,
-    in real arithmetic where every u is real; m = nan where no root is
-    admissible. roots holds all the eigenvalues, (B, d + 1)."""
+    """(m, |f|, n_candidates) from one arrowhead eigensolve per point, in
+    real arithmetic where every u is real; m = nan where no root is
+    admissible."""
     roots = arrowhead_eigvals(*_arrowhead(u, spec, z_mod))
     adm = _admissible(roots, w[:, None])
     lost = ~adm.any(axis=1) & (w.imag > 0)
@@ -320,87 +305,25 @@ def _solve_arrowhead(w, u, spec: SigmaSpectrum, z_mod: float):
     m = np.full(w.shape, np.nan + 0j)
     resid = np.full(w.shape, np.inf)
     m[ok], resid[ok] = _polish(w[ok], roots[ok, idx[ok]], spec, z_mod)
-    return m, resid, ncand, roots
+    return m, resid, ncand
 
 
 def _newton_certified(x, m, spec: SigmaSpectrum, z_mod: float):
     """Newton steps on f at real x > 0 from m; returns (m, |f|, certified).
 
     A row stops once its step is at most 1e-15 |m|, after at most
-    ANCHOR_NEWTON_MAX steps. Its root is certified when it is admissible,
+    CERTIFY_NEWTON_MAX steps. Its root is certified when it is admissible,
     |f| <= RESIDUAL_TOL, its forward error |f / f_m| is at most
     FORWARD_RTOL |m|, and Im m exceeds that error by a factor 1e3: Newton also
     settles on real roots, whose Im m is rounding noise.
     """
-    m = _newton(x, m, spec, z_mod, ANCHOR_NEWTON_MAX, 1e-15)
+    m = _newton(x, m, spec, z_mod, CERTIFY_NEWTON_MAX, 1e-15)
     with np.errstate(all="ignore"):
         f, fm = _f_fm(_atom_cubics(x, m, spec, z_mod))[:2]
         fwd = np.abs(f / fm)
         ok = (_admissible(m, x) & (np.abs(f) <= RESIDUAL_TOL)
               & (fwd <= FORWARD_RTOL * np.abs(m)) & (fwd < 1e-3 * m.imag))
     return m, np.abs(f), ok
-
-
-def _pole_intervals(u, spec: SigmaSpectrum, z_mod: float):
-    """(pi, left, right, ok): f's d poles at real u > 0 in ascending order,
-    and whether f is positive at the left and the right end of each of the
-    d + 1 intervals between them, the outer two unbounded. f -> -+inf at
-    -+inf, and just right (left) of a pole f has the sign of (minus) its
-    residue. ok marks the rows whose poles strictly increase and whose
-    residues are non-zero, where these signs hold."""
-    _, rho, pi = _arrowhead(u, spec, z_mod)
-    order = np.argsort(pi, axis=1)
-    pi, rho = np.take_along_axis(pi, order, axis=1), np.take_along_axis(rho, order, axis=1)
-    pos, right_end = rho > 0, np.ones((u.size, 1), dtype=bool)
-    ok = np.all(np.diff(pi, axis=1) > 0, axis=1) & np.all(rho != 0, axis=1)
-    return pi, np.c_[~right_end, pos], np.c_[~pos, right_end], ok
-
-
-def _witnesses(u, roots, spec: SigmaSpectrum, z_mod: float):
-    """(k, W) from the roots of f at real u > 0: the interval k that holds
-    two roots more than its parity, and the midpoints between its
-    consecutive roots, W (B, 2) ascending, with its one midpoint twice where
-    it holds two roots. k = -1 where the roots are not all real (inside the
-    support), or no interval holds such a pair."""
-    pi, left, right, ok = _pole_intervals(u, spec, z_mod)
-    d = pi.shape[1]
-    r = np.sort(roots.real, axis=1)
-    where = np.sum(r[:, :, None] > pi[:, None, :], axis=2)        # interval of each root
-    count = np.sum(where[:, :, None] == np.arange(d + 1), axis=1)
-    excess = count - (left != right)
-    k = np.argmax(excess, axis=1)
-    rows = np.arange(u.size)
-    # the lower roots of the witnesses' pairs: the interval's first twice,
-    # or its first and second where it holds three
-    lo = np.argmax(where == k[:, None], axis=1)[:, None] + np.c_[0 * k, count[rows, k] == 3]
-    lo = np.minimum(lo, d - 1)
-    W = (np.take_along_axis(r, lo, axis=1) + np.take_along_axis(r, lo + 1, axis=1)) / 2
-    ok &= np.all(roots.imag == 0, axis=1) & (excess[rows, k] == 2)
-    return np.where(ok, k, -1), W
-
-
-def _certified_outside(x, u, k, W, spec: SigmaSpectrum, z_mod: float):
-    """Mask of the real x > 0 where the sign count of _solve_anchored, from
-    the witnesses W in interval k, finds all d + 1 roots of f real. A sign
-    of f at a witness counts only where |f| exceeds SIGN_MARGIN times a
-    bound on its rounding."""
-    pi, left, right, ok = _pole_intervals(u, spec, z_mod)
-    rows = np.arange(x.size)
-    poles = np.c_[np.full(x.size, -np.inf), pi, np.full(x.size, np.inf)]
-    ok &= (poles[rows, k] < W[:, 0]) & (W[:, 1] < poles[rows, k + 1])
-    shape, uc, m, z2, c, q, p = _atom_cubics(x[:, None], W, spec, z_mod)
-    num = m * (m * m - z2)
-    f = _atom_sum(shape, -uc + m, c * num / p).real
-    # a bound on f's rounding: the terms c num / p_i, with num and p_i in
-    # error by the sums of their monomials' magnitudes
-    a, ua = np.abs(m), np.abs(uc)
-    err = _atom_sum(shape, ua + a, c * (a * (a * a + z2) + np.abs(num / p) * (
-        ua * a**3 + q * a * a + ua * z2 * a + z2 * z2)) / np.abs(p))
-    ok &= np.all(np.abs(f) > SIGN_MARGIN * err, axis=1)
-    ends = np.c_[left[rows, k], f > 0, right[rows, k]]      # f > 0 along interval k
-    odd = left != right
-    changes = np.sum(ends[:, 1:] != ends[:, :-1], axis=1)
-    return ok & (odd.sum(axis=1) - odd[rows, k] + changes >= pi.shape[1] + 1)
 
 
 def _nearest(xa, x):
@@ -410,37 +333,14 @@ def _nearest(xa, x):
     return np.where(x - xa[lo] <= xa[hi] - x, lo, hi)
 
 
-def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float, seeds=None):
-    """(m, |f|, n_candidates) at real x > 0: certified Newton from a start
-    for each point, the outside certificate where its anchor has no
-    admissible root, and the arrowhead at every point that neither settles.
-
-    The starts come from one of two sources. seeds, one per point, as the
-    density tables take them from the support edges (density._fold_seeds),
-    need no eigensolve. A point that its seed does not certify takes Newton
-    from the root of the nearest point that its seed did certify. Without
-    seeds the arrowhead solves anchors, every ANCHOR_STRIDE-th point in x
-    order and the last, and each point starts from its nearest anchor's
-    admissible root. A wrong start costs a Newton run and an arrowhead
-    solve, never a wrong answer: every root returned is certified or
-    eigensolved.
-
-    The outside certificate counts real roots of f = m - alpha +
-    sum_k rho_k / (m - pi_k), whose numerator has degree d + 1 for d poles.
-    Sorted, the poles cut the real line into d + 1 intervals. The parity of
-    each one's root count follows from the residues: (-inf, pi_1) is odd iff
-    rho_1 < 0, (pi_k, pi_k+1) iff sign rho_k = sign rho_k+1, (pi_d, inf) iff
-    rho_d < 0. An anchor outside the support has all d + 1 roots real, and
-    one interval k holds two more than its parity: two roots if it is
-    unbounded, three if bounded. The midpoints between its consecutive roots
-    are the witnesses, one or two (_witnesses). A point whose nearest anchor
-    has them is outside if the witnesses lie strictly inside interval k at
-    its x, f has a sign at each with a margin over rounding, and the sign
-    changes along interval k's ends and witnesses plus the other odd
-    intervals come to d + 1 (_certified_outside). It then keeps m = nan,
-    |f| = inf and no candidates, as the arrowhead would give it. A point
-    that fails is left to the arrowhead: a failed certificate costs time,
-    never a wrong answer.
+def _solve_seeded(x, u, spec: SigmaSpectrum, z_mod: float, seeds):
+    """(m, |f|, n_candidates) at real x > 0 from seeds, one starting root
+    per point, as the density tables take them from the support edges
+    (density._fold_seeds): certified Newton from each point's seed, then
+    from the root of the nearest point that its seed did certify, then the
+    arrowhead at every point that neither settles. A wrong seed costs a
+    Newton run and an arrowhead solve, never a wrong answer: every root
+    returned is certified or eigensolved.
     """
     m = np.full(x.shape, np.nan + 0j)
     resid = np.full(x.shape, np.inf)
@@ -456,40 +356,14 @@ def _solve_anchored(x, u, spec: SigmaSpectrum, z_mod: float, seeds=None):
         m[done], resid[done], ncand[done] = mn[ok], rn[ok], 1
         rest[done] = False
 
-    if seeds is not None:
-        certify(np.arange(x.size), seeds)
-        if rest.any() and not rest.all():
-            order = np.argsort(x[~rest], kind="stable")
-            xa, ma = x[~rest][order], m[~rest][order]
-            pts = np.nonzero(rest)[0]
-            certify(pts, ma[_nearest(xa, x[pts])])
-    else:
-        order = np.argsort(x, kind="stable")
-        ak = order[np.unique(np.r_[0:x.size:ANCHOR_STRIDE, x.size - 1])]   # ascending in x
-        m[ak], resid[ak], ncand[ak], roots = _solve_arrowhead(x[ak], u[ak], spec, z_mod)
-        rest[ak] = False
-        xa, ma, ua, inside = x[ak], m[ak], u[ak], ncand[ak] > 0
-        # the nearest anchor in x: Newton from its root where it is inside the
-        # support, the certificate from its witnesses where it is outside
-        j = _nearest(xa, x)
-        pts = np.nonzero(rest & inside[j])[0]
-        if pts.size:
-            certify(pts, ma[j[pts]])
-        cand = np.nonzero(rest & ~inside[j])[0]
-        if cand.size:
-            wk = np.full(xa.shape, -1)
-            W = np.zeros(xa.shape + (2,))
-            wk[~inside], W[~inside] = _witnesses(ua[~inside], roots[~inside], spec, z_mod)
-            cand = cand[wk[j[cand]] >= 0]
-        if cand.size:
-            try:
-                certified = _certified_outside(x[cand], u[cand], wk[j[cand]], W[j[cand]],
-                                               spec, z_mod)
-                rest[cand[certified]] = False
-            except SolverError:    # a witness is on a pole of f
-                pass
+    certify(np.arange(x.size), seeds)
+    if rest.any() and not rest.all():
+        order = np.argsort(x[~rest], kind="stable")
+        xa, ma = x[~rest][order], m[~rest][order]
+        pts = np.nonzero(rest)[0]
+        certify(pts, ma[_nearest(xa, x[pts])])
     if rest.any():
-        m[rest], resid[rest], ncand[rest] = _solve_arrowhead(x[rest], u[rest], spec, z_mod)[:3]
+        m[rest], resid[rest], ncand[rest] = _solve_arrowhead(x[rest], u[rest], spec, z_mod)
     return m, resid, ncand
 
 
@@ -502,26 +376,16 @@ def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float, seeds=None):
     Raises SolverError when a returned root misses RESIDUAL_TOL. The
     eigensolves run on one BLAS thread.
 
-    A batch of real w > 0 is solved by certified Newton (_solve_anchored).
-    seeds, in the shape of w, are starting roots the caller holds, as the
-    density tables take them from the support edges; they take no
-    eigensolve, and a point its seed does not certify starts again from the
-    nearest point that its seed did certify. Without them, a batch of at
-    least 2 ANCHOR_STRIDE points eigensolves its own anchors: every
-    ANCHOR_STRIDE-th point in x order and the last. Every other point looks
-    at its nearest anchor. If the anchor has an admissible root, the point
-    runs Newton on f from it and keeps the result only if it is certified
-    (see _newton_certified). If it has none, the point is certified outside
-    the support when a sign count finds all d + 1 roots of f real, at the
-    anchor's witnesses. The rest go to the arrowhead. At real x the
-    admissible root is unique, so a certified root is the one the arrowhead
-    would pick, and a point certified outside has none, as the arrowhead
-    would find. The last bits of a real-w root can therefore depend on its
-    start and on the rest of its batch; the same call gives the same bits on
-    every run.
+    A batch of real w > 0 with seeds, starting roots in the shape of w as
+    the density tables take them from the support edges, is solved by
+    certified Newton (_solve_seeded, _newton_certified); only the points
+    that no seed certifies are eigensolved. At real x the admissible root is
+    unique, so a certified root is the one the arrowhead would pick. Its
+    last bits can therefore depend on its seed and on the rest of its batch;
+    the same call gives the same bits on every run.
 
-    Complex w, and real batches under 2 ANCHOR_STRIDE points without seeds,
-    take one arrowhead eigensolve per point; complex w ignore seeds.
+    Every other batch, complex w or real w without seeds, takes one
+    arrowhead eigensolve per point; complex w ignore seeds.
     """
     w = np.asarray(w, dtype=complex)
     shape = w.shape
@@ -530,11 +394,11 @@ def solve_master_batch(w, spec: SigmaSpectrum, z_mod: float, seeds=None):
     if np.any(u == 0):
         raise DomainError("the master equation needs w != 0")
     real = bool(np.all(u.imag == 0))
-    if real and (seeds is not None or wf.size >= 2 * ANCHOR_STRIDE):
-        seeds = None if seeds is None else np.asarray(seeds, dtype=complex).ravel()
-        m, resid, ncand = _solve_anchored(wf.real, u.real, spec, z_mod, seeds)
+    if real and seeds is not None:
+        seeds = np.asarray(seeds, dtype=complex).ravel()
+        m, resid, ncand = _solve_seeded(wf.real, u.real, spec, z_mod, seeds)
     else:
-        m, resid, ncand = _solve_arrowhead(wf, u.real if real else u, spec, z_mod)[:3]
+        m, resid, ncand = _solve_arrowhead(wf, u.real if real else u, spec, z_mod)
     ok = ncand > 0
     if np.any(resid[ok] > RESIDUAL_TOL):
         k = np.argmax(np.where(ok, resid, 0.0))

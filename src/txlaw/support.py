@@ -405,11 +405,11 @@ def find_edges(
     zero = [0.0] if touches_zero else []
     pos = [ed[1] for ed in edges_asc]
     band_edges = zero + pos
+    poles = _arrowhead(np.sqrt(pos), spec, z_mod)[2]
     edges = []
     for k, (side, e_k, m_c, fabs, dfabs, d2f) in enumerate(edges_asc):
-        pi = _arrowhead(np.array([np.sqrt(e_k)]), spec, z_mod)[2]
         edges.append(EdgeInfo(
-            e=e_k, m_c=m_c, d2f=d2f, pole_distance=float(np.min(np.abs(m_c - pi))),
+            e=e_k, m_c=m_c, d2f=d2f, pole_distance=float(np.min(np.abs(m_c - poles[k]))),
             neighbor_gap=float(min(
                 (abs(e_k - y) for y in zero + pos[:k] + pos[k + 1:]), default=np.inf
             )),

@@ -1,13 +1,15 @@
 """Shared fixtures. The radial profiles are expensive and session-cached.
 
-`bench` is the benchmark's engine-free oracle module, txbench/oracles.py: the
-vector Dyson equation of the Hermitization and the Haagerup-Larsen radial law.
-It is loaded by file path, so txbench/ never goes on sys.path and its modules
-cannot shadow any other.
+`arrowhead_only` is the tests' oracle for real-axis roots: the arrowhead
+eigensolve at every point. `bench` is the benchmark's engine-free oracle
+module, txbench/oracles.py: the vector Dyson equation of the Hermitization and
+the Haagerup-Larsen radial law. It is loaded by file path, so txbench/ never
+goes on sys.path and its modules cannot shadow any other.
 """
 
 import importlib.util
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ import pytest
 from hypothesis import settings
 
 import txlaw
+from txlaw.linalg import blas_threads
+from txlaw.master import _solve_arrowhead
 
 
 def _load_bench_oracles():
@@ -36,6 +40,20 @@ def bench_law(spec):
     Not Law.from_counts, which renormalizes and can move s by an ulp.
     """
     return bench.Law(s=tuple(spec.s), w=tuple(spec.weights))
+
+
+def arrowhead_only(x, spec, z):
+    """(m, ncand) of the arrowhead eigensolve alone at real x > 0.
+
+    Two threads on one BLAS thread each take half the points: the
+    eigensolves release the GIL, and each row is solved alone.
+    """
+    def solve(xs):
+        return _solve_arrowhead(xs.astype(complex), np.sqrt(xs), spec, z)
+
+    with blas_threads(1), ThreadPoolExecutor(2) as pool:
+        parts = list(pool.map(solve, np.array_split(x, 2)))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts])
 
 
 # every @given test draws the same examples on every run, and none are replayed
