@@ -4,8 +4,9 @@ The support of rho_{1,2} on (0, inf) is a finite union of bands whose
 endpoints satisfy f = df/dm = 0 simultaneously. A real x > 0 lies in the
 support iff the master equation at w = x has an admissible root. The edges
 are the folds of the real curve f(u, m) = 0, u = sqrt(x): one batched
-symmetric eigensolve samples its branches u_k(m) over real m, each interior
-extremum with u > 0 starts a two-variable real Newton iteration on
+symmetric eigensolve samples its branches u_k(m) over real m > 0, their
+mirror u_k(-m) = -u_k(m) gives m < 0, each interior extremum with u > 0
+starts a two-variable real Newton iteration on
 (f, df/dm) = 0 (one batch for all of them), and one batched probe of the
 support test keeps the folds where the support flips.
 For |z| < 1 the lowest band reaches 0 where the density diverges like
@@ -335,14 +336,17 @@ def _m_curve_starts(spec: SigmaSpectrum, z_mod: float, m_max: float):
     eigenvalue gives a smooth branch u_k = v_k / A on each interval, and
     where du_k/dm = -f_m / f_u changes sign, f = f_m = 0: a fold of the real
     curve, the Silverstein-Choi characterization of the support edges
-    (J. Multivariate Anal. 54, 1995). One eigensolve takes all points. Where
+    (J. Multivariate Anal. 54, 1995). A is odd in m while m A and B are
+    even, so the arrowhead at -m is the one at m conjugated by
+    diag(-1, 1, ..., 1): the same v, and u changes sign. One eigensolve takes
+    the intervals with m > 0, and the others are their exact mirrors. Where
     |z|^4 underflows the intervals around 0 vanish, and only 0 cuts the
     line, as master._arrowhead drops the poles near +-|z| there.
     """
     z2 = z_mod * z_mod
-    cuts = [-m_max, 0.0, m_max]
+    cuts = [0.0, m_max]
     if z2 * z2 >= np.finfo(float).tiny:
-        cuts = [-m_max, -z_mod, 0.0, z_mod, m_max]
+        cuts = [0.0, z_mod, m_max]
     # Chebyshev points of each interval, clustered toward its ends
     t = 0.5 * (1 - np.cos(np.pi * (np.arange(M_POINTS) + 0.5) / M_POINTS))
     m = np.array([lo + (hi - lo) * t for lo, hi in zip(cuts[:-1], cuts[1:])])
@@ -350,7 +354,10 @@ def _m_curve_starts(spec: SigmaSpectrum, z_mod: float, m_max: float):
     A = m * (m * m - z2)
     B = (s + z2) * (m * m)[..., None] - z2 * z2
     v = symmetric_arrowhead_eigvals(m * A, A[..., None] * np.sqrt(spec.weights * s), B)
-    u = v / A[..., None]                # (intervals, M_POINTS, n + 1)
+    # m -> -m in reversed order, v unchanged, A -> -A
+    m = np.concatenate([-m[::-1, ::-1], m])
+    v = np.concatenate([v[::-1, ::-1], v])
+    u = v / np.concatenate([-A[::-1, ::-1], A])[..., None]   # (intervals, M_POINTS, n + 1)
     # at |z| = 0, u = 0 solves f = 0 at every m: a branch of rounding noise,
     # whose folds are no edges
     noise = 64 * spec.n * np.finfo(float).eps * np.abs(v).max(axis=-1, keepdims=True)
@@ -370,7 +377,8 @@ def find_edges(
     """Locate all support bands and edges of the limiting densities.
 
     The Newton starts are the folds of the real m-curve (_m_curve_starts),
-    with m_max = 32 sqrt(s_1 + |z|^2 + 1). The two-variable Newton iteration
+    eigensolved over 0 < m < m_max = 32 sqrt(s_1 + |z|^2 + 1) and mirrored
+    to -m_max < m < 0. The two-variable Newton iteration
     on (f, df/dm) = 0 refines all of them in one batch
     (_refine_edges_newton), and one batched support test at
     e (1 -/+ EDGE_PROBE) keeps the edges where the support flips: outside

@@ -256,19 +256,79 @@ def _count_curve_solves(monkeypatch):
     ("many_spec", 0.5, 200),
 ])
 def test_find_edges_solves_scan_and_one_probe_batch(request, monkeypatch, spec_name, z, grid):
-    # the scan is the m-curve's: one batched eigensolve of 4 x 200 arrowheads,
-    # one edge-Newton batch and one batch of flip probes, with no x scan and
-    # no per-step bisection. A table at any resolution adds none of them
+    # the scan is the m-curve's: one batched eigensolve of the 2 x 200
+    # arrowheads at m > 0, mirrored to 4 x 200 points, one edge-Newton batch
+    # and one batch of flip probes, with no x scan and no per-step bisection.
+    # A table at any resolution adds none of them
     spec = request.getfixturevalue(spec_name)
     calls = _count_master_solves(monkeypatch)
     curve, newton = _count_curve_solves(monkeypatch)
     prof = txlaw.find_edges(spec, z)
     txlaw.tabulate_density(spec, z, grid, prof)
-    assert curve == [(4, support.M_POINTS, spec.n + 1, spec.n + 1)]
+    assert curve == [(2, support.M_POINTS, spec.n + 1, spec.n + 1)]
     assert prof.scan_points == 4 * support.M_POINTS
     assert len(newton) == 1 and newton[0] >= len(prof.edges)
     assert [w.size for w, _ in calls] == [2 * len(prof.edges)]
     assert all(ed.refined for ed in prof.edges)
+
+
+def _m_curve_eigvals(spec, z_mod, m):
+    """A = m (m^2 - |z|^2) and the eigenvalues v of the m-curve's arrowheads at m."""
+    from txlaw.linalg import symmetric_arrowhead_eigvals
+
+    z2 = z_mod * z_mod
+    s = np.asarray(spec.s, dtype=float)
+    A = m * (m * m - z2)
+    B = (s + z2) * (m * m)[..., None] - z2 * z2
+    return A, symmetric_arrowhead_eigvals(m * A, A[..., None] * np.sqrt(spec.weights * s), B)
+
+
+def _two_sided_m_curve_starts(spec, z_mod, m_max):
+    """_m_curve_starts with every interval between the cuts -m_max, -|z|, 0,
+    |z| and m_max eigensolved on its own grid, m < 0 included."""
+    z2 = z_mod * z_mod
+    cuts = [-m_max, 0.0, m_max]
+    if z2 * z2 >= np.finfo(float).tiny:
+        cuts = [-m_max, -z_mod, 0.0, z_mod, m_max]
+    t = 0.5 * (1 - np.cos(np.pi * (np.arange(support.M_POINTS) + 0.5) / support.M_POINTS))
+    m = np.array([lo + (hi - lo) * t for lo, hi in zip(cuts[:-1], cuts[1:])])
+    A, v = _m_curve_eigvals(spec, z_mod, m)
+    u = v / A[..., None]
+    noise = 64 * spec.n * np.finfo(float).eps * np.abs(v).max(axis=-1, keepdims=True)
+    clear = np.abs(v) > noise
+    du = np.diff(u, axis=1)
+    turn = (du[:, :-1] * du[:, 1:] < 0) & (u[:, 1:-1] > 0) & clear[:, 1:-1]
+    iv, i, _ = np.nonzero(turn)
+    return u[:, 1:-1][turn] ** 2, m[iv, i + 1], m.size
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-100, 0.5, 1.2, 1.41, 1.5, 2.0])
+@pytest.mark.parametrize("spec_name", ["fig2_spec", "twoband_spec", "many_spec", "forty"])
+def test_mirrored_m_curve_matches_two_sided(request, spec_name, z):
+    # the m < 0 half of the m-curve is the mirror of its m > 0 half: the
+    # arrowheads at -m have the eigenvalues of those at m, and the folds are
+    # those of eigensolving both halves, bit for bit at m > 0, to rounding
+    # at m < 0, where the grids agree only to rounding. In these cases every
+    # fold lies at m > 0
+    if spec_name == "forty":
+        rng = np.random.default_rng(40)
+        spec, _ = txlaw.normalize_spectrum(rng.uniform(0.1, 5.0, 40), [25] * 40, 1000, 1000)
+    else:
+        spec = request.getfixturevalue(spec_name)
+    m_max = support.M_MAX_SCALE * np.sqrt(spec.s[0] + z * z + 1.0)
+    m = np.linspace(1e-3, 1.0, 50) * m_max
+    v = _m_curve_eigvals(spec, z, m)[1]
+    np.testing.assert_allclose(_m_curve_eigvals(spec, z, -m)[1], v,
+                               rtol=0, atol=1e-13 * np.abs(v).max())
+    E0, m0, points = support._m_curve_starts(spec, z, m_max)
+    E1, m1, points1 = _two_sided_m_curve_starts(spec, z, m_max)
+    assert points == points1 == (4 if z > 1e-50 else 2) * support.M_POINTS
+    assert E0.size == E1.size > 0
+    assert np.array_equal(m0 > 0, m1 > 0)
+    pos = m0 > 0
+    assert np.array_equal(E0[pos], E1[pos]) and np.array_equal(m0[pos], m1[pos])
+    np.testing.assert_allclose(E0[~pos], E1[~pos], rtol=1e-12)
+    np.testing.assert_allclose(m0[~pos], m1[~pos], rtol=1e-12)
 
 
 @pytest.mark.parametrize("fault", ["none", "outside", "midpoint"])
