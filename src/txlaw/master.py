@@ -251,9 +251,9 @@ def _admissible(m, w):
     return (m1.imag > 0) & ((w * m1).imag > 0)
 
 
-def _newton(w, m, spec: SigmaSpectrum, z_mod: float, steps=POLISH_STEPS, rtol=0.0):
+def _newton(w, m, spec: SigmaSpectrum, z_mod: float, steps=POLISH_STEPS):
     """Up to `steps` Newton steps on f from m (w broadcast to it); a row stops
-    once its step is at most rtol |m|, and one with df/dm = 0 stays put."""
+    once its step is 0, and one with df/dm = 0 stays put."""
     m = np.array(m, dtype=complex)
     w = np.broadcast_to(w, m.shape)
     active = np.ones(m.shape, dtype=bool)
@@ -262,7 +262,7 @@ def _newton(w, m, spec: SigmaSpectrum, z_mod: float, steps=POLISH_STEPS, rtol=0.
             f, fm = _f_fm(_atom_cubics(w[active], m[active], spec, z_mod))[:2]
             step = np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
             m[active] -= step
-            active[active] = ~(np.abs(step) <= rtol * np.abs(m[active]))
+            active[active] = step != 0
             if not active.any():
                 break
     return m
@@ -308,21 +308,42 @@ def _solve_arrowhead(w, u, spec: SigmaSpectrum, z_mod: float):
     return m, resid, ncand
 
 
+def _certified(x, m, f, fm):
+    """Mask of the roots m at real x, with f and f_m there, that are
+    admissible, have |f| <= RESIDUAL_TOL and a forward error |f / f_m| of at
+    most FORWARD_RTOL |m|, and whose Im m exceeds that error by a factor 1e3:
+    Newton also settles on real roots, whose Im m is rounding noise."""
+    fwd = np.abs(f / fm)
+    return (_admissible(m, x) & (np.abs(f) <= RESIDUAL_TOL)
+            & (fwd <= FORWARD_RTOL * np.abs(m)) & (fwd < 1e-3 * m.imag))
+
+
 def _newton_certified(x, m, spec: SigmaSpectrum, z_mod: float):
     """Newton steps on f at real x > 0 from m; returns (m, |f|, certified).
 
-    A row stops once its step is at most 1e-15 |m|, after at most
-    CERTIFY_NEWTON_MAX steps. Its root is certified when it is admissible,
-    |f| <= RESIDUAL_TOL, its forward error |f / f_m| is at most
-    FORWARD_RTOL |m|, and Im m exceeds that error by a factor 1e3: Newton also
-    settles on real roots, whose Im m is rounding noise.
+    A row stops once its step is at most 1e-15 |m|, or, before the step,
+    once its iterate is _certified and the step from it is no shorter than
+    the one before: Newton has reached the rounding level of f. It takes at
+    most CERTIFY_NEWTON_MAX steps, and its root is certified as _certified
+    says.
     """
-    m = _newton(x, m, spec, z_mod, CERTIFY_NEWTON_MAX, 1e-15)
+    m = np.array(m, dtype=complex)
+    active = np.ones(m.shape, dtype=bool)
+    last = np.full(m.shape, np.inf)
     with np.errstate(all="ignore"):
+        for _ in range(CERTIFY_NEWTON_MAX):
+            xa, ma = x[active], m[active]
+            f, fm = _f_fm(_atom_cubics(xa, ma, spec, z_mod))[:2]
+            step = np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
+            size = np.abs(step)
+            settled = (size >= last[active]) & _certified(xa, ma, f, fm)
+            m[active] = np.where(settled, ma, ma - step)
+            last[active] = size
+            active[active] = ~(settled | (size <= 1e-15 * np.abs(m[active])))
+            if not active.any():
+                break
         f, fm = _f_fm(_atom_cubics(x, m, spec, z_mod))[:2]
-        fwd = np.abs(f / fm)
-        ok = (_admissible(m, x) & (np.abs(f) <= RESIDUAL_TOL)
-              & (fwd <= FORWARD_RTOL * np.abs(m)) & (fwd < 1e-3 * m.imag))
+        ok = _certified(x, m, f, fm)
     return m, np.abs(f), ok
 
 
