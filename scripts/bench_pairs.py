@@ -6,9 +6,11 @@
         --select master.solve_master_batch.self_s,master.self_s --tier1 \
         --change "what the change does" --claim "what it claims"
 
-Run from the repository root. The parent commit is exported with
-`git archive` to a temporary directory; the change is this checkout as it
-stands. For each `NAME:PAIRS:FIRST_SEED` the script runs
+Run from the repository root. Both sides run from fresh copies, siblings
+in one temporary directory: the parent commit exported with `git archive`,
+and the change copied from this checkout as it stands, its tracked files
+and the untracked ones that .gitignore does not exclude. For each
+`NAME:PAIRS:FIRST_SEED` the script runs
 `txbench/run.py --workload NAME --seed S --seconds SECONDS --trace 0` once
 per side and seed, for PAIRS consecutive seeds, with the side that goes first
 alternating from seed to seed. Each `--trace NAME:SEED` adds one traced run
@@ -28,6 +30,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -85,6 +88,18 @@ def tier1(tree: Path) -> dict:
             "wall_s": round(wall, 2), "durations_top15": durations[:15]}
 
 
+def export_checkout(dest: Path) -> None:
+    """Copy this checkout's files as they stand, tracked or not ignored, to dest."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, capture_output=True,
+                           check=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():      # a tracked file deleted in the checkout is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
 def quartiles(v: list[float]) -> dict:
     q1, med, q3 = np.percentile(v, [25, 50, 75])
     return {"median": round(float(med), 4), "q1": round(float(q1), 4),
@@ -125,12 +140,14 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", default="")
     args = ap.parse_args(argv)
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {t: Path(tmp) / t for t in ("parent", "change")}
+        for tree in trees.values():
+            tree.mkdir()
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
                                  capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
-        trees = {"parent": parent, "change": ROOT}
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+        export_checkout(trees["change"])
         runs: list[dict] = []
         for spec in args.workload:
             name, pairs, first = spec.split(":")
@@ -149,9 +166,11 @@ def main(argv=None) -> int:
                           file=sys.stderr)
         out = {"label": args.label, "change": args.change, "machine": machine(),
                "method": (f"python3 txbench/run.py --workload <w> --seed <s> --seconds "
-                          f"{args.seconds:g} --trace <0|1>, run from the root of each tree: "
-                          f"the parent ({args.parent}, exported with git archive) and this "
-                          "checkout; one run per side and seed, the side that goes first "
+                          f"{args.seconds:g} --trace <0|1>, run from the root of each tree, "
+                          "both fresh copies in one temporary directory: the parent "
+                          f"({args.parent}, exported with git archive) and this checkout "
+                          "(its tracked and unignored files as they stand); one run per "
+                          "side and seed, the side that goes first "
                           "alternating from seed to seed, parent first on the first seed; "
                           f"a pair is under load when a 1-minute load average read before "
                           f"or after one of its runs exceeds {LOADED}"),
@@ -175,7 +194,8 @@ def main(argv=None) -> int:
         if args.tier1:
             out["tier1"] = {"command": " ".join(["PYTHONPATH=src python"] + TIER1[1:])
                             + " (pytest addopts add --durations=15), change then parent",
-                            "change": tier1(ROOT), "parent": tier1(parent)}
+                            "change": tier1(trees["change"]),
+                            "parent": tier1(trees["parent"])}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)

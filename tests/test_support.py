@@ -179,6 +179,23 @@ def test_sixty_spectra_against_dense_mask():
         _check_bands_on_grid(spec, z)
 
 
+@pytest.mark.parametrize("k", range(12))
+def test_two_cluster_spectra_against_dense_mask(k):
+    # 1 to 4 values near s in [4, 10] holding 10% of the mass and 1 to 4
+    # near s in [0.05, 0.3] holding 90%, |z| in [0.05, 0.9] or [1.1, 3]:
+    # every draw has a gap, which the sixty spectra above never do
+    rng = np.random.default_rng([61, k])
+    n1, n2 = rng.integers(1, 5, 2)
+    hi = rng.uniform(4.0, 10.0) * (1 + rng.uniform(-0.05, 0.05, n1))
+    lo = rng.uniform(0.05, 0.3) * (1 + rng.uniform(-0.05, 0.05, n2))
+    l = [10] * n1 + [90] * n2
+    spec, _ = txlaw.normalize_spectrum(np.r_[hi, lo], l, sum(l), sum(l))
+    z = float(rng.uniform(0.05, 0.9) if k % 2 else rng.uniform(1.1, 3.0))
+    prof = txlaw.find_edges(spec, z)
+    assert len(prof.bands) >= 2
+    _check_bands_on_grid(spec, z, prof)
+
+
 def test_twoband_cusp_sweep(twoband_spec):
     # a gap opens at a cusp near |z| = 1.407, 2.1e-5 wide at 1.41, which no
     # x scan of 128,000 points resolves. support_indicator witnesses every
