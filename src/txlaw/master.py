@@ -336,8 +336,11 @@ def _newton_certified(x, m, spec: SigmaSpectrum, z_mod: float):
             f, fm = _f_fm(_atom_cubics(xa, ma, spec, z_mod))[:2]
             step = np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
             size = np.abs(step)
-            settled = (size >= last[active]) & _certified(xa, ma, f, fm)
-            m[active] = np.where(settled, ma, ma - step)
+            settled = size >= last[active]
+            if settled.any():
+                settled[settled] = _certified(xa[settled], ma[settled], f[settled], fm[settled])
+                step[settled] = 0.0
+            m[active] = ma - step
             last[active] = size
             active[active] = ~(settled | (size <= 1e-15 * np.abs(m[active])))
             if not active.any():
