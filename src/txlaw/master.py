@@ -336,6 +336,7 @@ def _newton_certified(x, m, spec: SigmaSpectrum, z_mod: float):
             f, fm = _f_fm(_atom_cubics(xa, ma, spec, z_mod))[:2]
             step = np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
             size = np.abs(step)
+            # certify only the rows whose step stalled: few rows, and most steps none
             settled = size >= last[active]
             if settled.any():
                 settled[settled] = _certified(xa[settled], ma[settled], f[settled], fm[settled])
