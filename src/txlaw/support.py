@@ -4,11 +4,10 @@ The support of rho_{1,2} on (0, inf) is a finite union of bands whose
 endpoints satisfy f = df/dm = 0 simultaneously. A real x > 0 lies in the
 support iff the master equation at w = x has an admissible root. The edges
 are the folds of the real curve f(u, m) = 0, u = sqrt(x): one batched
-symmetric eigensolve samples its branches u_k(m) over real m > 0, their
-mirror u_k(-m) = -u_k(m) gives m < 0, each interior extremum with u > 0
-starts a two-variable real Newton iteration on
-(f, df/dm) = 0 (one batch for all of them), and one batched probe of the
-support test keeps the folds where the support flips.
+symmetric eigensolve samples its branches u_k(m) over real m > 0, and each
+interior extremum, at (u, m) or, mirrored, at (-u, -m), starts a
+two-variable real Newton iteration on (f, df/dm) = 0 (one batch for all of
+them). Every fold is an edge, and the sign of f_u f_mm there names its side.
 For |z| < 1 the lowest band reaches 0 where the density diverges like
 x^(-1/2) with a computable scale t.
 """
@@ -30,7 +29,6 @@ EDGE_F_TOL = 1e-10
 EDGE_DF_TOL = 1e-8
 M_POINTS = 200          # m-curve points per interval between its cuts
 M_MAX_SCALE = 32.0      # the m-curve spans |m| <= M_MAX_SCALE sqrt(s_1 + |z|^2 + 1)
-EDGE_PROBE = 1e-6       # relative offset of the support probes on each side of an edge
 ZERO_EDGE_TAU = 0.05    # the zero edge needs |z|^2 <= 1 - ZERO_EDGE_TAU
 EDGE_NEWTON_MAX = 80    # cap on the two-variable edge Newton iteration
 BULK_POINTS = 200       # grid points of check_bulk_regularity
@@ -135,32 +133,6 @@ def critical_points(w: float, spec: SigmaSpectrum, z_mod: float) -> CriticalPoin
     return cps
 
 
-def support_indicator_by_critical_values(
-    w: float, spec: SigmaSpectrum, z_mod: float
-) -> bool:
-    """Sign test on critical values: w is in the support iff 0 avoids every
-    increasing branch image of f."""
-    cps = critical_points(w, spec, z_mod)
-    pts = sorted(cps.points, key=lambda p: p[0])
-    by_idx: dict[int, list[tuple[float, float]]] = {}
-    for m, h, idx in pts:
-        by_idx.setdefault(idx, []).append((m, h))
-    n = spec.n
-    for idx, group in by_idx.items():
-        group.sort()
-        if idx == -n:
-            if group[-1][1] > 0:      # local max above zero
-                return False
-        elif idx == 2 * n:
-            if group[0][1] < 0:       # local min below zero
-                return False
-        elif len(group) == 2:
-            h_min, h_max = group[0][1], group[1][1]
-            if h_min < 0 < h_max:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # edges
 # ---------------------------------------------------------------------------
@@ -228,7 +200,7 @@ def support_indicator(E: float, spec: SigmaSpectrum, z_mod: float) -> bool:
     """True iff an admissible root exists at real w = E (exact support test)."""
     if E <= 0:
         raise DomainError("support_indicator needs E > 0")
-    return bool(_inside(np.array([E]), spec, z_mod)[0])
+    return bool(solve_master_batch(np.array([E]), spec, z_mod)[4][0] > 0)
 
 
 def zero_edge_scale(spec: SigmaSpectrum, z_mod: float) -> float:
@@ -264,20 +236,15 @@ def zero_edge_scale(spec: SigmaSpectrum, z_mod: float) -> float:
     return float(t)
 
 
-def _inside(x: np.ndarray, spec: SigmaSpectrum, z_mod: float):
-    """Support mask at real x > 0: the master equation at w = x has an admissible root."""
-    return solve_master_batch(x, spec, z_mod)[4] > 0
-
-
 def _refine_edges_newton(
     E0: np.ndarray, m0: np.ndarray, spec: SigmaSpectrum, z_mod: float
-) -> list[tuple[float, float, float, float, float] | None]:
+) -> list[tuple[float, float] | None]:
     """Newton on (f, df/dm)(u, m) = 0 over real (u = sqrt(w), m), one row per
     start (E0_k, m0_k), all rows in one batch.
 
-    Row k gives (e, m, |f|, |df/dm|, d2f/dm2), or None when its iteration
-    leaves the trust region or its Jacobian degenerates. A row stops once its
-    step is below 1e-14 relative. The rows still running share one
+    Row k gives (e, m), or None when its iteration leaves the trust region
+    or its Jacobian degenerates; find_edges certifies the rest. A row stops
+    once its step is below 1e-14 relative. The rows still running share one
     master_f_all call and one stacked solve per step; both act row by row
     (the solve is one LAPACK gesv per matrix), so a row's result does not
     depend on the other rows. A singular Jacobian makes the stacked solve
@@ -313,19 +280,14 @@ def _refine_edges_newton(
                 < 1e-14 * np.maximum(1.0, np.abs(ur) + np.abs(m[rows])))
         failed[rows[out]] = True
         active[rows[out | done]] = False
-    ok = np.flatnonzero(~failed)
-    f, fm, fmm, _, _ = master_f_all(u[ok] * u[ok], m[ok], spec, z_mod)
-    got: list = [None] * u.size
-    for j, k in enumerate(ok):
-        got[k] = (float(u[k] * u[k]), float(m[k]), abs(complex(f[j])), abs(complex(fm[j])),
-                  float(np.real(fmm[j])))
-    return got
+    return [None if failed[k] else (float(u[k] * u[k]), float(m[k])) for k in range(u.size)]
 
 
 def _m_curve_starts(spec: SigmaSpectrum, z_mod: float, m_max: float):
     """(E0, m0, points): the interior extrema with u > 0 of the real branches
     u_k(m) of f(u, m) = 0, sampled on M_POINTS cosine-graded points of each
-    m-interval between the cuts -m_max, -|z|, 0, |z| and m_max.
+    m-interval between the cuts -m_max, -|z|, 0, |z| and m_max (points
+    counts the m < 0 half too).
 
     With A = m (m^2 - |z|^2), B_i = (s_i + |z|^2) m^2 - |z|^4 and
     c_i = w_i s_i, f = -u + m + A sum_i c_i / (u A - B_i). At real m with
@@ -339,9 +301,10 @@ def _m_curve_starts(spec: SigmaSpectrum, z_mod: float, m_max: float):
     (J. Multivariate Anal. 54, 1995). A is odd in m while m A and B are
     even, so the arrowhead at -m is the one at m conjugated by
     diag(-1, 1, ..., 1): the same v, and u changes sign. One eigensolve takes
-    the intervals with m > 0, and the others are their exact mirrors. Where
-    |z|^4 underflows the intervals around 0 vanish, and only 0 cuts the
-    line, as master._arrowhead drops the poles near +-|z| there.
+    the intervals with m > 0, and a turn there at u < 0 is the fold
+    (u^2, -m) of the m < 0 half. Where |z|^4 underflows the intervals
+    around 0 vanish, and only 0 cuts the line, as master._arrowhead drops
+    the poles near +-|z| there.
     """
     z2 = z_mod * z_mod
     cuts = [0.0, m_max]
@@ -354,18 +317,16 @@ def _m_curve_starts(spec: SigmaSpectrum, z_mod: float, m_max: float):
     A = m * (m * m - z2)
     B = (s + z2) * (m * m)[..., None] - z2 * z2
     v = symmetric_arrowhead_eigvals(m * A, A[..., None] * np.sqrt(spec.weights * s), B)
-    # m -> -m in reversed order, v unchanged, A -> -A
-    m = np.concatenate([-m[::-1, ::-1], m])
-    v = np.concatenate([v[::-1, ::-1], v])
-    u = v / np.concatenate([-A[::-1, ::-1], A])[..., None]   # (intervals, M_POINTS, n + 1)
+    u = v / A[..., None]      # (intervals, M_POINTS, n + 1)
     # at |z| = 0, u = 0 solves f = 0 at every m: a branch of rounding noise,
     # whose folds are no edges
     noise = 64 * spec.n * np.finfo(float).eps * np.abs(v).max(axis=-1, keepdims=True)
     clear = np.abs(v) > noise
     du = np.diff(u, axis=1)
-    turn = (du[:, :-1] * du[:, 1:] < 0) & (u[:, 1:-1] > 0) & clear[:, 1:-1]
+    turn = (du[:, :-1] * du[:, 1:] < 0) & clear[:, 1:-1]
     iv, i, _ = np.nonzero(turn)
-    return u[:, 1:-1][turn] ** 2, m[iv, i + 1], m.size
+    u = u[:, 1:-1][turn]
+    return u ** 2, np.copysign(m[iv, i + 1], u), 2 * m.size
 
 
 @one_blas_thread
@@ -376,18 +337,28 @@ def find_edges(
 ) -> SupportProfile:
     """Locate all support bands and edges of the limiting densities.
 
-    The Newton starts are the folds of the real m-curve (_m_curve_starts),
-    eigensolved over 0 < m < m_max = 32 sqrt(s_1 + |z|^2 + 1) and mirrored
-    to -m_max < m < 0. The two-variable Newton iteration
-    on (f, df/dm) = 0 refines all of them in one batch
-    (_refine_edges_newton), and one batched support test at
-    e (1 -/+ EDGE_PROBE) keeps the edges where the support flips: outside
-    below and inside above for a lower edge, the other way round for an
-    upper one. Ascending, the kept edges must alternate, upper edges last; an
-    upper edge first means that the lowest band reaches 0. A failed Newton
-    row, or sides that do not alternate, raise BracketingError. An edge is
-    `refined` when it also meets |f| <= EDGE_F_TOL, |df/dm| <= EDGE_DF_TOL.
-    params.check_z rejects |z| in the excluded band around the unit circle.
+    The Newton starts are the folds of the real m-curve (_m_curve_starts)
+    over |m| < m_max = 32 sqrt(s_1 + |z|^2 + 1). The two-variable Newton
+    iteration on (f, df/dm) = 0 refines all of them in one batch
+    (_refine_edges_newton), and one evaluator call certifies each result
+    (e, m_c) as a fold: |f| <= EDGE_F_TOL, |df/dm| <= EDGE_DF_TOL and
+    f_u f_mm finite and nonzero, with f_u = df/du, u = sqrt(x).
+
+    Every such fold is an edge. At real x > 0 a root is admissible iff
+    Im m > 0, and the admissible root is unique (master), so f(sqrt(x), .),
+    real on the real axis, has a non-real root iff x is in the support. Near
+    the fold, f = f_u (u - sqrt(e)) + f_mm (m - m_c)^2 / 2 to second order:
+    two real roots m_c +- sqrt(-2 f_u (u - sqrt(e)) / f_mm) meet there and
+    turn into a conjugate pair on the side where f_u f_mm (u - sqrt(e)) > 0.
+    That side is inside the support; the other is outside, since a non-real
+    pair there would persist across e and make the root on the inside side
+    not unique. So an edge is "lower" (inside above) iff f_u f_mm > 0.
+
+    Ascending, the sides must alternate, upper edges last; an upper edge
+    first means that the lowest band reaches 0. A failed Newton row, a
+    result off a fold, or sides that do not alternate raise BracketingError.
+    Every edge is `refined`. params.check_z rejects |z| in the excluded band
+    around the unit circle.
     """
     params.check_z(z_mod)
     spec.require_normalized()
@@ -396,32 +367,34 @@ def find_edges(
     got = _refine_edges_newton(E0, m0, spec, z_mod)
     if not got or None in got:
         raise BracketingError("no m-curve fold, or an edge Newton failed from one")
-    got.sort()
-    e = np.array([g[0] for g in got])
-    probe = _inside(np.concatenate([e * (1 - EDGE_PROBE), e * (1 + EDGE_PROBE)]), spec, z_mod)
-    below, above = probe[: e.size], probe[e.size:]
-    edges_asc = [("lower" if up else "upper", *g)
-                 for g, down, up in zip(got, below, above) if down != up]
-    sides = [ed[0] for ed in edges_asc]
+    e, m_c = np.array(sorted(got)).T
+    f, fm, fmm, fu, _ = master_f_all(e, m_c, spec, z_mod)
+    d2f = np.real(fmm)
+    curvature = np.real(fu) * d2f
+    off = ~((np.abs(f) <= EDGE_F_TOL) & (np.abs(fm) <= EDGE_DF_TOL)
+            & np.isfinite(curvature) & (curvature != 0))
+    if off.any():
+        raise BracketingError(f"an edge Newton ended off a fold, at e = {e[off].tolist()}")
+    sides = ["lower" if c > 0 else "upper" for c in curvature]
     touches_zero = sides[:1] == ["upper"]
-    if not sides or sides != (["upper"] * touches_zero
-                              + ["lower", "upper"] * (len(sides) // 2)):
+    if sides != ["upper"] * touches_zero + ["lower", "upper"] * (len(sides) // 2):
         raise BracketingError(f"the support edges do not alternate: {sides}")
 
     # each edge's gap is to the nearest other edge, or to 0 where the lowest
     # band reaches it
     zero = [0.0] if touches_zero else []
-    pos = [ed[1] for ed in edges_asc]
+    pos = e.tolist()
     band_edges = zero + pos
-    poles = _arrowhead(np.sqrt(pos), spec, z_mod)[2]
+    poles = _arrowhead(np.sqrt(e), spec, z_mod)[2]
     edges = []
-    for k, (side, e_k, m_c, fabs, dfabs, d2f) in enumerate(edges_asc):
+    for k, (e_k, side) in enumerate(zip(pos, sides)):
         edges.append(EdgeInfo(
-            e=e_k, m_c=m_c, d2f=d2f, pole_distance=float(np.min(np.abs(m_c - poles[k]))),
+            e=e_k, m_c=float(m_c[k]), d2f=float(d2f[k]),
+            pole_distance=float(np.min(np.abs(m_c[k] - poles[k]))),
             neighbor_gap=float(min(
                 (abs(e_k - y) for y in zero + pos[:k] + pos[k + 1:]), default=np.inf
             )),
-            side=side, refined=fabs <= EDGE_F_TOL and dfabs <= EDGE_DF_TOL,
+            side=side, refined=True,
         ))
     bands_asc = [
         (band_edges[i], band_edges[i + 1]) for i in range(0, len(band_edges), 2)

@@ -1,9 +1,10 @@
 """Shared fixtures. The radial profiles are expensive and session-cached.
 
 `arrowhead_only` is the tests' oracle for real-axis roots: the arrowhead
-eigensolve at every point. `bench` is the benchmark's engine-free oracle
-module, txbench/oracles.py: the vector Dyson equation of the Hermitization and
-the Haagerup-Larsen radial law. It is loaded by file path, so txbench/ never
+eigensolve at every point. `support_indicator_by_critical_values` is their
+support test that solves no master equation. `bench` is the benchmark's
+engine-free oracle module, txbench/oracles.py: the vector Dyson equation of
+the Hermitization and the Haagerup-Larsen radial law. It is loaded by file path, so txbench/ never
 goes on sys.path and its modules cannot shadow any other.
 """
 
@@ -54,6 +55,30 @@ def arrowhead_only(x, spec, z):
     with blas_threads(1), ThreadPoolExecutor(2) as pool:
         parts = list(pool.map(solve, np.array_split(x, 2)))
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts])
+
+
+def support_indicator_by_critical_values(w, spec, z_mod):
+    """Sign test on critical values: w is in the support iff 0 avoids every
+    increasing branch image of f."""
+    cps = txlaw.critical_points(w, spec, z_mod)
+    pts = sorted(cps.points, key=lambda p: p[0])
+    by_idx = {}
+    for m, h, idx in pts:
+        by_idx.setdefault(idx, []).append((m, h))
+    n = spec.n
+    for idx, group in by_idx.items():
+        group.sort()
+        if idx == -n:
+            if group[-1][1] > 0:      # local max above zero
+                return False
+        elif idx == 2 * n:
+            if group[0][1] < 0:       # local min below zero
+                return False
+        elif len(group) == 2:
+            h_min, h_max = group[0][1], group[1][1]
+            if h_min < 0 < h_max:
+                return False
+    return True
 
 
 # every @given test draws the same examples on every run, and none are replayed

@@ -10,7 +10,8 @@ import txlaw
 from txlaw import support
 from txlaw.errors import DomainError, SolverError
 from txlaw.oracles import bisect_g_oracle
-from conftest import arrowhead_only, bench, bench_law
+from conftest import (arrowhead_only, bench, bench_law,
+                      support_indicator_by_critical_values)
 
 
 def mp_zero_edge_root(spec, z, dps=40):
@@ -76,7 +77,7 @@ def test_critical_points_grid_many_atoms(many_spec):
                 assert cps.occupancy_ok(spec.n) and cps.ordering_ok
                 m = np.array([p[0] for p in cps.points])
                 assert np.max(np.abs(txlaw.master_f_all(w, m, spec, z)[1])) <= 1e-10
-                assert (support.support_indicator_by_critical_values(w, spec, z)
+                assert (support_indicator_by_critical_values(w, spec, z)
                         == txlaw.support_indicator(w, spec, z))
 
 
@@ -88,7 +89,7 @@ def test_indicator_agreement(fig2_spec):
     points += [(4.0, 1.5), (0.001, 1.5), (30.0, 0.5), (1.0, 0.5), (2.0, 0.5)]
     for E, z in points:
         assert (txlaw.support_indicator(E, fig2_spec, z)
-                == support.support_indicator_by_critical_values(E, fig2_spec, z))
+                == support_indicator_by_critical_values(E, fig2_spec, z))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,8 @@ def test_two_cluster_spectra_against_dense_mask(k):
 def test_twoband_cusp_sweep(twoband_spec):
     # a gap opens at a cusp near |z| = 1.407, 2.1e-5 wide at 1.41, which no
     # x scan of 128,000 points resolves. support_indicator witnesses every
-    # band and gap at its midpoint, and the support flips at every edge
+    # band and gap at its midpoint, and at e (1 -/+ 1e-6) the side that the
+    # sign of f_u f_mm gave every edge
     counts = []
     for z in np.round(np.arange(1.40, 1.525, 0.01), 2):
         prof = txlaw.find_edges(twoband_spec, float(z))
@@ -211,6 +213,9 @@ def test_twoband_cusp_sweep(twoband_spec):
             assert not txlaw.support_indicator(0.5 * (top + bottom), twoband_spec, z)
         for ed in prof.edges:
             assert ed.refined
+            below, above = (txlaw.support_indicator(ed.e * (1 + d), twoband_spec, z)
+                            for d in (-1e-6, 1e-6))
+            assert (below, above) == ((False, True) if ed.side == "lower" else (True, False))
         if z == 1.41:
             (_, top), (bottom, _) = bands[:2]
             assert top == pytest.approx(0.8190882, rel=1e-7)
@@ -272,11 +277,11 @@ def _count_curve_solves(monkeypatch):
     ("fig2_spec", 0.5, 2000), ("fig2_spec", 1.2, 2000), ("fig2_spec", 1.5, 2000),
     ("many_spec", 0.5, 200),
 ])
-def test_find_edges_solves_scan_and_one_probe_batch(request, monkeypatch, spec_name, z, grid):
+def test_find_edges_solves_scan_and_no_master_solve(request, monkeypatch, spec_name, z, grid):
     # the scan is the m-curve's: one batched eigensolve of the 2 x 200
-    # arrowheads at m > 0, mirrored to 4 x 200 points, one edge-Newton batch
-    # and one batch of flip probes, with no x scan and no per-step bisection.
-    # A table at any resolution adds none of them
+    # arrowheads at m > 0, counted as 4 x 200 points with their mirrors, and
+    # one edge-Newton batch, with no x scan, no per-step bisection and no
+    # master solve. A table at any resolution adds none of them
     spec = request.getfixturevalue(spec_name)
     calls = _count_master_solves(monkeypatch)
     curve, newton = _count_curve_solves(monkeypatch)
@@ -285,7 +290,7 @@ def test_find_edges_solves_scan_and_one_probe_batch(request, monkeypatch, spec_n
     assert curve == [(2, support.M_POINTS, spec.n + 1, spec.n + 1)]
     assert prof.scan_points == 4 * support.M_POINTS
     assert len(newton) == 1 and newton[0] >= len(prof.edges)
-    assert [w.size for w, _ in calls] == [2 * len(prof.edges)]
+    assert calls == []
     assert all(ed.refined for ed in prof.edges)
 
 
@@ -323,10 +328,10 @@ def _two_sided_m_curve_starts(spec, z_mod, m_max):
 @pytest.mark.parametrize("spec_name", ["fig2_spec", "twoband_spec", "many_spec", "forty"])
 def test_mirrored_m_curve_matches_two_sided(request, spec_name, z):
     # the m < 0 half of the m-curve is the mirror of its m > 0 half: the
-    # arrowheads at -m have the eigenvalues of those at m, and the folds are
-    # those of eigensolving both halves, bit for bit at m > 0, to rounding
-    # at m < 0, where the grids agree only to rounding. In these cases every
-    # fold lies at m > 0
+    # arrowheads at -m have the eigenvalues of those at m, and the folds,
+    # sorted by (m0, E0), are those of eigensolving both halves, bit for bit
+    # at m > 0, to rounding at m < 0, where the grids agree only to
+    # rounding. In these cases every fold lies at m > 0
     if spec_name == "forty":
         rng = np.random.default_rng(40)
         spec, _ = txlaw.normalize_spectrum(rng.uniform(0.1, 5.0, 40), [25] * 40, 1000, 1000)
@@ -341,6 +346,8 @@ def test_mirrored_m_curve_matches_two_sided(request, spec_name, z):
     E1, m1, points1 = _two_sided_m_curve_starts(spec, z, m_max)
     assert points == points1 == (4 if z > 1e-50 else 2) * support.M_POINTS
     assert E0.size == E1.size > 0
+    o0, o1 = np.lexsort((E0, m0)), np.lexsort((E1, m1))
+    E0, m0, E1, m1 = E0[o0], m0[o0], E1[o1], m1[o1]
     assert np.array_equal(m0 > 0, m1 > 0)
     pos = m0 > 0
     assert np.array_equal(E0[pos], E1[pos]) and np.array_equal(m0[pos], m1[pos])
@@ -348,11 +355,27 @@ def test_mirrored_m_curve_matches_two_sided(request, spec_name, z):
     np.testing.assert_allclose(m0[~pos], m1[~pos], rtol=1e-12)
 
 
+@pytest.mark.parametrize("z", [0.5, 1.5])
+@pytest.mark.parametrize("spec_name", ["fig2_spec", "many_spec"])
+def test_m_curve_turns_at_negative_u_are_folds_at_negative_m(request, monkeypatch,
+                                                             spec_name, z):
+    # eigenvalues -v turn every branch u_k(m) into -u_k(m), the branch of the
+    # real curve at -m, so every fold of these spectra moves to m < 0: its
+    # turn now has u < 0, and it must come back at the same E0 and at -m0
+    spec = request.getfixturevalue(spec_name)
+    m_max = support.M_MAX_SCALE * np.sqrt(spec.s[0] + z * z + 1.0)
+    E0, m0, points = support._m_curve_starts(spec, z, m_max)
+    real = support.symmetric_arrowhead_eigvals
+    monkeypatch.setattr(support, "symmetric_arrowhead_eigvals", lambda *a: -real(*a))
+    E1, m1, points1 = support._m_curve_starts(spec, z, m_max)
+    assert E0.size > 0 and np.all(m0 > 0) and points1 == points
+    assert np.array_equal(E1, E0) and np.array_equal(m1, -m0)
+
+
 @pytest.mark.parametrize("fault", ["none", "outside", "midpoint"])
 def test_edge_newton_failure_raises(fig2_spec, monkeypatch, fault):
     # a failed row raises at once; an edge off the fold (half its value, or
-    # the middle of its band) fails the flip probes, so the sides of the
-    # edges left do not alternate
+    # the middle of its band) fails the fold certificate, with no master solve
     prof = txlaw.find_edges(fig2_spec, 1.5)
     middle = {ed.e: 0.5 * sum(band) for band in prof.bands for ed in prof.edges
               if ed.e in band}
@@ -365,10 +388,9 @@ def test_edge_newton_failure_raises(fig2_spec, monkeypatch, fault):
                 (0.5 * g[0] if fault == "outside" else middle[g[0]], *g[1:]) for g in got]
 
     monkeypatch.setattr(support, "_refine_edges_newton", broken)
-    with pytest.raises(txlaw.BracketingError):
+    with pytest.raises(txlaw.BracketingError, match="failed" if fault == "none" else "off a fold"):
         txlaw.find_edges(fig2_spec, 1.5)
-    # the probe batch (two points per edge of fig2) is what catches the others
-    assert [w.size for w, _ in calls] == ([] if fault == "none" else [4])
+    assert calls == []
 
 
 def _edge_newton_starts(monkeypatch, specs, z):
@@ -428,7 +450,7 @@ def test_edges_flip_the_critical_value_indicator(fig2_spec, twoband_spec, many_s
             into = 1.0 if ed.side == "lower" else -1.0
             for sign, expect in ((into, True), (-into, False)):
                 x = ed.e * (1 + sign * 1e-6)
-                assert support.support_indicator_by_critical_values(x, spec, z) == expect
+                assert support_indicator_by_critical_values(x, spec, z) == expect
 
 
 @pytest.mark.parametrize("z", [1e-100, 1e-80])
