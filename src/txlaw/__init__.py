@@ -71,7 +71,6 @@ from .linalg import (
     arrowhead_eigvals,
     companion_roots,
     general_eigenvalues,
-    operator_norm_estimate,
     qr_haar,
     svd,
     symmetric_eigen,

@@ -237,20 +237,3 @@ def qr_haar(n: int, rng: np.random.Generator, k: int | None = None) -> np.ndarra
     sgn = np.sign(np.diag(R))
     sgn[sgn == 0] = 1.0
     return Q * sgn
-
-
-def operator_norm_estimate(
-    A: np.ndarray, iters: int = 300, seed: int = 0
-) -> float:
-    """Power-iteration estimate of the spectral norm (a lower bound)."""
-    A = np.asarray(A)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = A.conj().T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(A @ v))

@@ -251,14 +251,14 @@ def _admissible(m, w):
     return (m1.imag > 0) & ((w * m1).imag > 0)
 
 
-def _newton(w, m, spec: SigmaSpectrum, z_mod: float, steps=POLISH_STEPS):
-    """Up to `steps` Newton steps on f from m (w broadcast to it); a row stops
-    once its step is 0, and one with df/dm = 0 stays put."""
+def _newton(w, m, spec: SigmaSpectrum, z_mod: float):
+    """Up to POLISH_STEPS Newton steps on f from m (w broadcast to it); a row
+    stops once its step is 0, and one with df/dm = 0 stays put."""
     m = np.array(m, dtype=complex)
     w = np.broadcast_to(w, m.shape)
     active = np.ones(m.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(POLISH_STEPS):
             f, fm = _f_fm(_atom_cubics(w[active], m[active], spec, z_mod))[:2]
             step = np.where(np.abs(fm) > 1e-300, f / fm, 0.0)
             m[active] -= step

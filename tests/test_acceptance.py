@@ -202,7 +202,8 @@ def test_criterion_10_local_circular_scaling(identity_radial_profile):
         spec = txlaw.SigmaSpectrum(s=(1.0,), l=(K,), N=K, M=K)
         cfg = txlaw.EnsembleConfig(N=K, M=K, spec=spec, runs=20, seed=seed,
                                    threads=2)
-        out = txlaw.local_circular_error(cfg, z0, a, identity_radial_profile)
+        out = txlaw.local_circular_error(cfg, z0, a, identity_radial_profile,
+                                         runs=txlaw.run_ensemble(cfg))
         return float(np.median(out["errors"]))
 
     decreases = 0

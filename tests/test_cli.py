@@ -320,6 +320,8 @@ def test_readme_flag_table_matches_parser():
     ["density", "--z", "nan"],
     ["quantiles", "--z", "1.5", "--N", "0"],
     ["simulate", "--runs", "0"],
+    ["simulate", "--runs", "1", "--threads", "0"],
+    ["simulate", "--runs", "1", "--threads", "-3"],
 ])
 def test_out_of_range_value_gives_one_error_line(tmp_path, fig2_file, capsys, argv):
     rc = main([*argv, "--sigma", str(fig2_file), "--out", str(tmp_path)])

@@ -180,11 +180,3 @@ def test_svd_matches_symmetric_eigen_on_psd():
     _, s, _ = txlaw.svd(A)
     assert np.sort(s) == pytest.approx(np.sort(lam), abs=1e-9 * lam.max())
 
-
-def test_operator_norm_estimate():
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((50, 50))
-    est = txlaw.operator_norm_estimate(A, iters=300)
-    true = np.linalg.norm(A, 2)
-    assert est <= true + 1e-9
-    assert est > 0.999 * true

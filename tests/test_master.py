@@ -469,7 +469,7 @@ def _check_one_admissible_root(spec, z, points=2000):
 
 
 @pytest.mark.parametrize("name", ["identity_spec", "fig2_spec", "many_spec"])
-def test_anchored_support_mask_matches_arrowhead(name, request):
+def test_arrowhead_admits_at_most_one_root(name, request):
     # the admissible root at real x is unique, so a certified Newton root
     # is the arrowhead's
     spec = request.getfixturevalue(name)
@@ -477,21 +477,21 @@ def test_anchored_support_mask_matches_arrowhead(name, request):
         _check_one_admissible_root(spec, z)
 
 
-def test_anchored_support_mask_matches_arrowhead_twoband(twoband_spec):
+def test_arrowhead_admits_at_most_one_root_twoband(twoband_spec):
     # the |z| sweep where a cusp opens a narrow gap near |z| = 1.41
     for z in np.linspace(1.30, 1.80, 26):
         _check_one_admissible_root(twoband_spec, float(z))
 
 
 @pytest.mark.parametrize("name", ["fig2_spec", "many_spec"])
-def test_anchored_support_mask_matches_arrowhead_fine_scan(name, request):
+def test_arrowhead_admits_at_most_one_root_fine_scan(name, request):
     # 32,000 points: 16 times as many points near the edges
     spec = request.getfixturevalue(name)
     for z in (0.5, 1.2, 1.5):
         _check_one_admissible_root(spec, z, 32000)
 
 
-def test_anchored_support_mask_matches_arrowhead_forty_values():
+def test_arrowhead_admits_at_most_one_root_forty_values():
     # 120 poles, 121 roots per point
     rng = np.random.default_rng(40)
     spec, _ = txlaw.normalize_spectrum(rng.uniform(0.1, 5.0, 40), [25] * 40, 1000, 1000)
@@ -552,7 +552,7 @@ def _table_roots(monkeypatch, spec, z, resolution=2000):
 
 
 @pytest.mark.parametrize("name", ["fig2_spec", "many_spec"])
-def test_anchored_roots_against_mpmath(name, request, monkeypatch):
+def test_seeded_table_roots_against_mpmath(name, request, monkeypatch):
     # the 20 density-table nodes where the root seeded from the band edges'
     # folds moved most from the arrowhead's are within 1e-12 relative of
     # 50-digit mpmath roots, plus the root's move under a relative move of

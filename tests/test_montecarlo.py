@@ -282,7 +282,8 @@ def test_empirical_m2_matches_mp(spec200):
 
 def test_averaged_law_profile_interface(fig2_200):
     cfg = small_cfg(fig2_200, runs=8, z_list=(1.5 + 0j,), seed=3)
-    prof = txlaw.averaged_law_profile(cfg, 1.5, E_bulk=4.0, eta_grid=[1.0, 0.1])
+    prof = txlaw.averaged_law_profile(cfg, 1.5, E_bulk=4.0, eta_grid=[1.0, 0.1],
+                                      runs=txlaw.run_ensemble(cfg))
     assert prof[0]["eta"] == 1.0
     assert prof[0]["median"] <= 2.0          # trivially concentrated regime
     assert all(p["runs"] == 8 for p in prof)
@@ -336,14 +337,31 @@ def test_control_parameter_shape():
 
 def test_extreme_stats(fig2_200):
     cfg = small_cfg(fig2_200, runs=10, z_list=(1.5 + 0j,), seed=29)
-    out = txlaw.extreme_singular_stats(cfg, 1.5)
+    out = txlaw.extreme_singular_stats(cfg, 1.5, runs=txlaw.run_ensemble(cfg))
     assert out["n_small_violations"] == 0
     assert out["n_big_violations"] == 0
     assert out["n_det_violations"] == 0
     # larger |z| pushes the smallest eigenvalue up
     cfg3 = small_cfg(fig2_200, runs=10, z_list=(3.0 + 0j,), seed=29)
-    out3 = txlaw.extreme_singular_stats(cfg3, 3.0)
+    out3 = txlaw.extreme_singular_stats(cfg3, 3.0, runs=txlaw.run_ensemble(cfg3))
     assert np.median(out3["lambda_min"]) > np.median(out["lambda_min"])
+
+
+@pytest.mark.parametrize("N, M, t_mode, x_dist, z", [
+    (200, 200, "diagonal", "gauss", 0.5),
+    (400, 200, "haar", "skewed", 0.5),
+    (200, 400, "haar", "skewed", 1.5),
+])
+def test_extreme_stats_no_violations(N, M, t_mode, x_dist, z):
+    # inside the disk lambda_min is about K^-2 (4e-8 to 2e-5 at K = 200 on
+    # fig2), far above the s_K / K^4 floor; with the exact ||X||, ||T X - z||
+    # <= ||T|| ||X|| + |z| holds in every run, at N != M too
+    spec = txlaw.SigmaSpectrum(s=(32 / 17, 2 / 17), l=(100, 100), N=N, M=M)
+    cfg = small_cfg(spec, runs=10, t_mode=t_mode, x_dist=x_dist, z_list=(complex(z),), seed=29)
+    out = txlaw.extreme_singular_stats(cfg, z, runs=txlaw.run_ensemble(cfg))
+    assert out["n_small_violations"] == 0
+    assert out["n_big_violations"] == 0
+    assert out["n_det_violations"] == 0
 
 
 def test_bump_properties():
@@ -361,14 +379,16 @@ def test_bump_properties():
 
 def test_local_circular_outside_disk(spec200, identity_radial_profile):
     cfg = small_cfg(spec200, runs=6, seed=31)
-    out = txlaw.local_circular_error(cfg, 1.5 + 0j, 0.25, identity_radial_profile)
+    out = txlaw.local_circular_error(cfg, 1.5 + 0j, 0.25, identity_radial_profile,
+                                     runs=txlaw.run_ensemble(cfg))
     assert abs(out["target"]) <= 0.01
     assert np.median(out["errors"]) <= 0.05
 
 
 def test_local_circular_inside_disk(spec200, identity_radial_profile):
     cfg = small_cfg(spec200, runs=6, seed=37)
-    out = txlaw.local_circular_error(cfg, 0.5j, 0.25, identity_radial_profile)
+    out = txlaw.local_circular_error(cfg, 0.5j, 0.25, identity_radial_profile,
+                                     runs=txlaw.run_ensemble(cfg))
     # chi is 1 on the bump: target = (1/pi) int F = 1/4
     assert out["target"] == pytest.approx(0.25, abs=0.01)
 
@@ -376,21 +396,18 @@ def test_local_circular_inside_disk(spec200, identity_radial_profile):
 def test_local_circular_rejects_band_overlap(spec200, identity_radial_profile):
     cfg = small_cfg(spec200, runs=1)
     with pytest.raises(DomainError):
-        txlaw.local_circular_error(cfg, 1.0 + 0j, 0.25, identity_radial_profile)
+        txlaw.local_circular_error(cfg, 1.0 + 0j, 0.25, identity_radial_profile, runs=[])
 
 
 def test_radial_esd_small(spec200, identity_radial_profile):
     cfg = small_cfg(spec200, runs=12, seed=41)
-    out = txlaw.radial_esd_cdf(cfg, identity_radial_profile)
+    out = txlaw.radial_esd_cdf(cfg, identity_radial_profile, runs=txlaw.run_ensemble(cfg))
     med = float(np.median(out["sup_dev"]))
     assert med <= 0.08          # N = 200: about sqrt(5) looser than the N = 1000 gate
     # concentration: single run deviates more than the 12-run median curve
-    one = txlaw.radial_esd_cdf(
-        txlaw.EnsembleConfig(
-            N=200, M=200, spec=spec200, runs=1, seed=41, z_list=(), threads=1
-        ),
-        identity_radial_profile,
-    )
+    one_cfg = txlaw.EnsembleConfig(N=200, M=200, spec=spec200, runs=1, seed=41, z_list=(),
+                                   threads=1)
+    one = txlaw.radial_esd_cdf(one_cfg, identity_radial_profile, runs=txlaw.run_ensemble(one_cfg))
     pooled_dev = float(np.max(np.abs(out["Fhat_median"] - out["F_theory"])))
     assert pooled_dev <= np.max(one["sup_dev"]) + 1e-12
 
@@ -406,7 +423,7 @@ def test_rng_stream_independence():
 def test_failed_run_policy(spec200):
     good = txlaw.sample_run(small_cfg(spec200, runs=1), 0)
     bad = txlaw.RunResult(
-        run_index=1, seed_used=(0, 1), eigenvalues=np.empty(0, dtype=complex),
+        run_index=1, eigenvalues=np.empty(0, dtype=complex),
         singular={}, elapsed=0.0, failed=True,
     )
     assert txlaw.successful([good] * 20) == [good] * 20
